@@ -37,8 +37,9 @@
 //
 // trace analyzes an exported span tree — a CLI run's -otlpfile, or a
 // job's tree fetched live from fsctd's /api/v1/trace/{job} — and
-// reports the critical path (the span chain that bounds wall time, the
-// last finisher at every level), per-phase self-vs-child time, and
+// reports the critical path (the spans that bound wall time: at every
+// level the last finisher, then whatever ended before it started, and
+// so on back), per-phase self-vs-child time, and
 // straggler attribution: which unit held the run up and in which phase
 // its time went.
 //

@@ -87,10 +87,14 @@ func fetchTrace(addr, job string) (trace.Trace, error) {
 	return trace.ReadOTLP(resp.Body)
 }
 
-// critStep is one hop of the critical path, root to leaf.
+// critStep is one span of the critical path, or several same-named
+// leaf spans on one parent's chain folded into one row (Count > 1,
+// durations summed). Depth is the span's depth below the root.
 type critStep struct {
 	Name     string `json:"name"`
 	Kind     string `json:"kind"`
+	Depth    int    `json:"depth"`
+	Count    int    `json:"count,omitempty"`
 	DurNS    int64  `json:"dur_ns"`
 	SelfNS   int64  `json:"self_ns"`
 	Unclosed bool   `json:"unclosed,omitempty"`
@@ -129,8 +133,8 @@ type traceReport struct {
 	Straggler *stragglerInfo `json:"straggler,omitempty"`
 }
 
-// analyzeTrace derives the report: the critical path (the span chain
-// that bounds wall time — the last finisher at every level), per-phase
+// analyzeTrace derives the report: the critical path (the spans that
+// bound wall time, see trace.CriticalPath), per-phase
 // self-vs-child time, and straggler attribution (the slowest unit and
 // its dominant phase). Pure function of the trace, so tests feed it
 // fixtures.
@@ -151,13 +155,7 @@ func analyzeTrace(tr trace.Trace) traceReport {
 			rep.Unclosed++
 		}
 	}
-	for _, n := range trace.CriticalPath(root) {
-		rep.Critical = append(rep.Critical, critStep{
-			Name: n.Span.Name, Kind: n.Span.Kind,
-			DurNS: n.Span.DurNS(), SelfNS: trace.SelfNS(n),
-			Unclosed: n.Span.Unclosed,
-		})
-	}
+	rep.Critical = criticalSteps(trace.CriticalPath(root))
 	byName := map[string]*phaseStat{}
 	var order []string
 	var slowest *trace.Node
@@ -215,6 +213,43 @@ func analyzeTrace(tr trace.Trace) traceReport {
 	return rep
 }
 
+// criticalSteps turns the critical path into report rows. A phase's
+// chain can hold hundreds of sequential leaves (one per ATPG attempt or
+// pool item), so leaves on one parent's chain that share a name and
+// kind fold into the row of the first of them.
+func criticalSteps(path []trace.Step) []critStep {
+	type leafKey struct {
+		parent     int // row of the parent span
+		name, kind string
+	}
+	var rows []critStep
+	parentRow := []int{} // parentRow[d]: row of the last span at depth d
+	leafRow := map[leafKey]int{}
+	for _, st := range path {
+		n := st.Node
+		parentRow = parentRow[:st.Depth]
+		if len(n.Children) == 0 && st.Depth > 0 {
+			k := leafKey{parentRow[st.Depth-1], n.Span.Name, n.Span.Kind}
+			if i, ok := leafRow[k]; ok {
+				r := &rows[i]
+				r.Count++
+				r.DurNS += n.Span.DurNS()
+				r.SelfNS += n.Span.DurNS()
+				r.Unclosed = r.Unclosed || n.Span.Unclosed
+				continue
+			}
+			leafRow[k] = len(rows)
+		}
+		parentRow = append(parentRow, len(rows))
+		rows = append(rows, critStep{
+			Name: n.Span.Name, Kind: n.Span.Kind, Depth: st.Depth, Count: 1,
+			DurNS: n.Span.DurNS(), SelfNS: trace.SelfNS(n),
+			Unclosed: n.Span.Unclosed,
+		})
+	}
+	return rows
+}
+
 // renderTraceReport writes the human-oriented form: header, resource
 // line, the critical path as an indented chain, the top-N phase table
 // and the straggler line.
@@ -233,13 +268,18 @@ func renderTraceReport(w io.Writer, rep traceReport, top int) {
 		fmt.Fprintf(w, "resource: %s\n", strings.Join(parts, " "))
 	}
 	fmt.Fprintln(w, "\ncritical path (the chain that bounds wall time):")
-	for i, st := range rep.Critical {
+	for _, st := range rep.Critical {
 		tag := ""
 		if st.Unclosed {
 			tag = "  (unclosed)"
 		}
+		name := st.Name
+		if st.Count > 1 {
+			name = fmt.Sprintf("%s ×%d", name, st.Count)
+		}
+		d := min(st.Depth, 10)
 		fmt.Fprintf(w, "  %s%-*s %8s  self %s%s\n",
-			strings.Repeat("  ", i), 24-2*i, st.Name,
+			strings.Repeat("  ", d), 24-2*d, name,
 			fmtSpanDur(time.Duration(st.DurNS)), fmtSpanDur(time.Duration(st.SelfNS)), tag)
 	}
 	if len(rep.Phases) > 0 {

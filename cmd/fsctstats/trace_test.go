@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -130,5 +131,59 @@ func TestFetchTraceFromDaemon(t *testing.T) {
 	}
 	if _, err := fetchTrace(srv.URL, "missing"); err == nil {
 		t.Fatal("404 must surface as an error")
+	}
+}
+
+// flowTrace is a one-unit flow shaped like full-scale s5378: the steps
+// run one after another, step 2 holds 2.40 s of 3.09 s and step 3 (27
+// ms) finishes last. Step 3 alternates ATPG attempts with confirmation
+// fault simulations.
+func flowTrace() trace.Trace {
+	id := func(b byte) trace.SpanID { return trace.SpanID{7: b} }
+	const ms = 1_000_000
+	return trace.Trace{
+		Ctx: trace.Context{Trace: trace.TraceID{15: 0xbb}, Span: id(1), Flags: trace.FlagSampled},
+		Spans: []trace.Span{
+			{Name: "fsctest", Kind: trace.SpanRoot, ID: id(1), StartNS: 0, EndNS: 3_090 * ms},
+			{Name: "unit 0", Kind: trace.SpanUnit, ID: id(2), Parent: id(1), StartNS: 5 * ms, EndNS: 3_085 * ms},
+			{Name: "screen", Kind: trace.SpanPhase, ID: id(3), Parent: id(2), StartNS: 10 * ms, EndNS: 73 * ms},
+			{Name: "step1.alternating", Kind: trace.SpanPhase, ID: id(4), Parent: id(2), StartNS: 80 * ms, EndNS: 600 * ms},
+			{Name: "step2", Kind: trace.SpanPhase, ID: id(5), Parent: id(2), StartNS: 610 * ms, EndNS: 3_010 * ms},
+			{Name: "faultsim", Kind: trace.SpanPool, ID: id(6), Parent: id(5), StartNS: 700 * ms, EndNS: 3_000 * ms},
+			{Name: "step3", Kind: trace.SpanPhase, ID: id(7), Parent: id(2), StartNS: 3_020 * ms, EndNS: 3_047 * ms},
+			{Name: "atpg.seq", Kind: trace.SpanATPG, ID: id(8), Parent: id(7), StartNS: 3_021 * ms, EndNS: 3_025 * ms},
+			{Name: "faultsim", Kind: trace.SpanPool, ID: id(9), Parent: id(7), StartNS: 3_025 * ms, EndNS: 3_030 * ms},
+			{Name: "atpg.seq", Kind: trace.SpanATPG, ID: id(10), Parent: id(7), StartNS: 3_030 * ms, EndNS: 3_040 * ms},
+			{Name: "faultsim", Kind: trace.SpanPool, ID: id(11), Parent: id(7), StartNS: 3_040 * ms, EndNS: 3_046 * ms},
+		},
+	}
+}
+
+// TestAnalyzeTraceStep2Dominates: in a sequential flow the critical
+// path lists every step, so the dominant step 2 is on it although step
+// 3 finishes last, and step 3's alternating leaves fold into one row
+// per name.
+func TestAnalyzeTraceStep2Dominates(t *testing.T) {
+	rep := analyzeTrace(flowTrace())
+	var got []string
+	for _, st := range rep.Critical {
+		got = append(got, fmt.Sprintf("%d:%s×%d=%dms", st.Depth, st.Name, st.Count, st.DurNS/1_000_000))
+	}
+	want := []string{
+		"0:fsctest×1=3090ms", "1:unit 0×1=3080ms",
+		"2:screen×1=63ms", "2:step1.alternating×1=520ms",
+		"2:step2×1=2400ms", "3:faultsim×1=2300ms",
+		"2:step3×1=27ms", "3:atpg.seq×2=14ms", "3:faultsim×2=11ms",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("critical path =\n%v\nwant\n%v", got, want)
+	}
+	var b strings.Builder
+	renderTraceReport(&b, rep, 10)
+	out := b.String()
+	for _, line := range []string{"    step2 ", "      atpg.seq ×2 "} {
+		if !strings.Contains(out, line) {
+			t.Errorf("report missing %q:\n%s", line, out)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 // Package atpg implements PODEM, a complete combinational automatic
 // test-pattern generator, over a dual-machine (fault-free / faulty)
-// three-valued simulation with event-driven implication.
+// three-valued simulation with event-driven implication. Implication
+// also maintains the D-frontier incrementally and evaluates the faulty
+// machine only inside the fault's cone, so each search step costs work
+// proportional to what the step changed, not to the size of the cone.
 //
 // The engine runs on a purely combinational circuit (no flip-flops);
 // sequential circuits are first mapped with CombModel (flip-flop outputs
@@ -97,22 +100,26 @@ type Engine struct {
 
 	// Injection sites: a plain fault has one; a time-frame-expanded
 	// fault has one per frame (the same physical defect replicated).
+	// The maps are read only where a signal's fStem or fBranch bit is
+	// set, keeping lookups off the per-gate evaluation path.
 	injs     []sim.Inject
 	stemInj  map[netlist.SignalID]logic.V
 	brInj    map[netlist.SignalID][]sim.Inject // keyed by consuming gate
 	obsDist  []int32
 	buckets  [][]netlist.SignalID
-	inQueue  []bool
 	maxLevel int
 
-	// Fault cone: only signals downstream of an injection site can be
-	// D-frontier members or observe the fault; restricting the frontier
-	// and observation scans to the cone keeps each PODEM iteration
-	// proportional to the fault's region, not the whole model.
-	coneGates   []netlist.SignalID // gates in the cone, topological order
-	coneOutputs []netlist.SignalID // observation points in the cone
-	inCone      []bool
-	isOut       []bool // cone observation points, indexed by signal
+	// flags holds per-signal bits (fQueued, fCone, fOut, fStem,
+	// fBranch): one byte per signal, so drain's per-gate checks touch
+	// one array.
+	flags []uint8
+
+	// Fault cone: the exact forward closure of the injection sites
+	// (fCone). Only cone signals can carry a fault effect, so outside it
+	// the faulty machine equals the good one and drain evaluates the
+	// good machine alone; observation checks scan only the cone's
+	// outputs (fOut).
+	coneOutputs []netlist.SignalID
 
 	// SCOAP controllability per signal (computed once per model).
 	cc0, cc1 []int64
@@ -121,10 +128,16 @@ type Engine struct {
 	seenEpoch []uint32
 	epoch     uint32
 
-	// Reused traversal scratch: the D-frontier of the current iteration,
-	// the xPathExists DFS stack and the buildCone DFS stack. Kept on the
-	// engine so the search loop never allocates per iteration.
-	frontier  []netlist.SignalID
+	// D-frontier, kept current by drain: the member gates in no
+	// particular order, and each signal's index in that list (-1 when it
+	// is not a member).
+	frontier []netlist.SignalID
+	fpos     []int32
+
+	// Reused scratch: drain's good and faulty fanin values (sized to the
+	// widest gate), the xPathExists DFS stack and the buildCone DFS
+	// stack. Kept on the engine so the search loop never allocates.
+	gin, fin  []logic.V
 	xstack    []netlist.SignalID
 	coneStack []netlist.SignalID
 
@@ -234,19 +247,27 @@ func NewEngineTables(m *Model, t *Tables) *Engine {
 		c:       c,
 		good:    make([]logic.V, len(c.Signals)),
 		flty:    make([]logic.V, len(c.Signals)),
-		inQueue: make([]bool, len(c.Signals)),
+		flags:   make([]uint8, len(c.Signals)),
 		stemInj: make(map[netlist.SignalID]logic.V),
 		brInj:   make(map[netlist.SignalID][]sim.Inject),
-		inCone:  make([]bool, len(c.Signals)),
-		isOut:   make([]bool, len(c.Signals)),
 
 		seenEpoch: make([]uint32, len(c.Signals)),
+		fpos:      make([]int32, len(c.Signals)),
+	}
+	for i := range e.fpos {
+		e.fpos[i] = -1
 	}
 	for _, l := range c.Level {
 		if l > e.maxLevel {
 			e.maxLevel = l
 		}
 	}
+	width := 0
+	for _, g := range c.Order {
+		width = max(width, len(c.Signals[g].Fanin))
+	}
+	e.gin = make([]logic.V, 0, width)
+	e.fin = make([]logic.V, 0, width)
 	e.buckets = make([][]netlist.SignalID, e.maxLevel+1)
 	e.obsDist = t.ObsDist
 	e.cc0, e.cc1 = t.CC0, t.CC1
@@ -442,10 +463,9 @@ func (e *Engine) generateMulti(ctx context.Context, injs []sim.Inject, backtrack
 		if e.observedD() {
 			return Result{Status: Found, Assignment: e.assignment(), Backtracks: backtracks}, false
 		}
-		frontier := e.dFrontier()
-		ok := e.feasible(frontier)
+		ok := e.feasible()
 		if ok {
-			obj, objOK := e.objective(frontier)
+			obj, objOK := e.objective()
 			if objOK {
 				pi, v, btOK := e.backtrace(obj.sig, obj.val)
 				if btOK {
@@ -488,15 +508,33 @@ type objectiveT struct {
 	val logic.V
 }
 
+// Per-signal flag bits.
+const (
+	fQueued uint8 = 1 << iota // in a level bucket, awaiting evaluation
+	fCone                     // in the fault cone
+	fOut                      // an observation point in the cone
+	fStem                     // a stem injection on the signal
+	fBranch                   // a branch injection into the gate
+)
+
 func (e *Engine) loadFault(injs []sim.Inject) {
+	for _, in := range e.injs {
+		if in.IsStem() {
+			e.flags[in.Signal] &^= fStem
+		} else {
+			e.flags[in.Gate] &^= fBranch
+		}
+	}
 	e.injs = append(e.injs[:0], injs...)
 	clear(e.stemInj)
 	clear(e.brInj)
 	for _, in := range injs {
 		if in.IsStem() {
 			e.stemInj[in.Signal] = in.Value
+			e.flags[in.Signal] |= fStem
 		} else {
 			e.brInj[in.Gate] = append(e.brInj[in.Gate], in)
+			e.flags[in.Gate] |= fBranch
 		}
 	}
 	e.stack = e.stack[:0]
@@ -506,16 +544,14 @@ func (e *Engine) loadFault(injs []sim.Inject) {
 // buildCone collects the fanout cone of every injection site: the only
 // region where fault effects can live.
 func (e *Engine) buildCone() {
-	for i := range e.inCone {
-		e.inCone[i] = false
-		e.isOut[i] = false
+	for i := range e.flags {
+		e.flags[i] &^= fCone | fOut
 	}
-	e.coneGates = e.coneGates[:0]
 	e.coneOutputs = e.coneOutputs[:0]
 	stack := e.coneStack[:0]
 	push := func(s netlist.SignalID) {
-		if !e.inCone[s] {
-			e.inCone[s] = true
+		if e.flags[s]&fCone == 0 {
+			e.flags[s] |= fCone
 			stack = append(stack, s)
 		}
 	}
@@ -534,31 +570,26 @@ func (e *Engine) buildCone() {
 		}
 	}
 	e.coneStack = stack[:0]
-	// Cone gates in global topological order keeps frontier iteration
-	// deterministic.
-	for _, g := range e.c.Order {
-		if e.inCone[g] {
-			e.coneGates = append(e.coneGates, g)
-		}
-	}
 	for _, o := range e.c.Outputs {
-		if e.inCone[o] && !e.isOut[o] {
-			e.isOut[o] = true
+		if e.flags[o]&(fCone|fOut) == fCone {
+			e.flags[o] |= fOut
 			e.coneOutputs = append(e.coneOutputs, o)
 		}
 	}
 }
 
 // reset initializes values: everything X, fixed inputs assigned, full
-// propagation.
+// propagation. With every value X the D-frontier is empty.
 func (e *Engine) reset() {
 	for i := range e.good {
 		e.good[i] = logic.X
 		e.flty[i] = logic.X
+		e.flags[i] &^= fQueued
 	}
-	for i := range e.inQueue {
-		e.inQueue[i] = false
+	for _, g := range e.frontier {
+		e.fpos[g] = -1
 	}
+	e.frontier = e.frontier[:0]
 	for i := range e.buckets {
 		e.buckets[i] = e.buckets[i][:0]
 	}
@@ -577,8 +608,8 @@ func (e *Engine) reset() {
 func (e *Engine) setInput(in netlist.SignalID, v logic.V) {
 	e.good[in] = v
 	fv := v
-	if sv, ok := e.stemInj[in]; ok {
-		fv = sv
+	if e.flags[in]&fStem != 0 {
+		fv = e.stemInj[in]
 	}
 	e.flty[in] = fv
 	for _, fo := range e.c.Fanouts[in] {
@@ -590,37 +621,61 @@ func (e *Engine) assign(pi netlist.SignalID, v logic.V) {
 	e.setInput(pi, v)
 }
 
+// schedule queues gate s for evaluation. Its callers pass only fanouts,
+// which in a combinational model (NewModel rejects flip-flops) are
+// always gates.
 func (e *Engine) schedule(s netlist.SignalID) {
-	if e.c.Signals[s].Kind != netlist.KindGate || e.inQueue[s] {
+	if e.flags[s]&fQueued != 0 {
 		return
 	}
-	e.inQueue[s] = true
+	e.flags[s] |= fQueued
 	lvl := e.c.Level[s]
 	e.buckets[lvl] = append(e.buckets[lvl], s)
 }
 
-// drain runs event-driven levelized propagation until stable.
+// drain runs event-driven levelized propagation until stable and keeps
+// the D-frontier current. A gate's membership depends only on its own
+// values and its fanins' values. A fanin change schedules the gate, its
+// own value changes only when drain evaluates it, and levelized order
+// evaluates it after its last fanin change, so re-checking each
+// evaluated cone gate here is exact.
 func (e *Engine) drain() {
-	var gbuf, fbuf [12]logic.V
 	for lvl := 1; lvl <= e.maxLevel; lvl++ {
 		bucket := e.buckets[lvl]
 		for i := 0; i < len(bucket); i++ {
 			g := bucket[i]
-			e.inQueue[g] = false
+			flag := e.flags[g] &^ fQueued
+			e.flags[g] = flag
 			s := &e.c.Signals[g]
-			gin := gbuf[:0]
-			fin := fbuf[:0]
+			gin := e.gin[:0]
+			if flag&fCone == 0 {
+				// No fault effect reaches here: faulty equals good.
+				for _, f := range s.Fanin {
+					gin = append(gin, e.good[f])
+				}
+				if gv := s.Op.Eval(gin); gv != e.good[g] {
+					e.good[g] = gv
+					e.flty[g] = gv
+					for _, fo := range e.c.Fanouts[g] {
+						e.schedule(fo)
+					}
+				}
+				continue
+			}
+			fin := e.fin[:0]
 			for _, f := range s.Fanin {
 				gin = append(gin, e.good[f])
 				fin = append(fin, e.flty[f])
 			}
-			for _, br := range e.brInj[g] {
-				fin[br.Pin] = br.Value
-			}
 			gv := s.Op.Eval(gin)
+			if flag&fBranch != 0 {
+				for _, br := range e.brInj[g] {
+					fin[br.Pin] = br.Value
+				}
+			}
 			fv := s.Op.Eval(fin)
-			if sv, ok := e.stemInj[g]; ok {
-				fv = sv
+			if flag&fStem != 0 {
+				fv = e.stemInj[g]
 			}
 			if gv != e.good[g] || fv != e.flty[g] {
 				e.good[g] = gv
@@ -629,9 +684,40 @@ func (e *Engine) drain() {
 					e.schedule(fo)
 				}
 			}
+			e.setFrontier(g, !(gv.Known() && fv.Known()) && anyD(gin, fin))
 		}
 		e.buckets[lvl] = e.buckets[lvl][:0]
 	}
+}
+
+// anyD reports whether some input pair carries a fault effect: definite
+// and different in the two machines.
+func anyD(gin, fin []logic.V) bool {
+	for i, gv := range gin {
+		if fv := fin[i]; gv.Known() && fv.Known() && gv != fv {
+			return true
+		}
+	}
+	return false
+}
+
+// setFrontier makes g a D-frontier member or not. Removal swaps the last
+// member into g's slot, so both directions are O(1).
+func (e *Engine) setFrontier(g netlist.SignalID, member bool) {
+	p := e.fpos[g]
+	if member == (p >= 0) {
+		return
+	}
+	if member {
+		e.fpos[g] = int32(len(e.frontier))
+		e.frontier = append(e.frontier, g)
+		return
+	}
+	last := e.frontier[len(e.frontier)-1]
+	e.frontier[p] = last
+	e.fpos[last] = p
+	e.frontier = e.frontier[:len(e.frontier)-1]
+	e.fpos[g] = -1
 }
 
 // hasD reports whether signal s carries a fault effect (definite and
@@ -676,40 +762,13 @@ func (e *Engine) activationPending() bool {
 // feasible checks whether the current partial assignment can still lead
 // to a test: either some site can still activate, or an activated
 // effect has a D-frontier with an X-path to an output.
-func (e *Engine) feasible(frontier []netlist.SignalID) bool {
+func (e *Engine) feasible() bool {
 	if e.activated() {
-		if len(frontier) > 0 && e.xPathExists(frontier) {
+		if len(e.frontier) > 0 && e.xPathExists(e.frontier) {
 			return true
 		}
 	}
 	return e.activationPending()
-}
-
-// dFrontier returns gates with a fault effect on an input and an
-// undetermined output, scanning only the fault cone. The returned slice
-// is engine-owned scratch, valid until the next call.
-func (e *Engine) dFrontier() []netlist.SignalID {
-	frontier := e.frontier[:0]
-	for _, g := range e.coneGates {
-		if e.good[g].Known() && e.flty[g].Known() {
-			continue
-		}
-		s := &e.c.Signals[g]
-		for pin, f := range s.Fanin {
-			gv, fv := e.good[f], e.flty[f]
-			for _, br := range e.brInj[g] {
-				if br.Pin == pin {
-					fv = br.Value
-				}
-			}
-			if gv.Known() && fv.Known() && gv != fv {
-				frontier = append(frontier, g)
-				break
-			}
-		}
-	}
-	e.frontier = frontier
-	return frontier
 }
 
 // xPathExists reports whether some frontier gate reaches an output
@@ -739,13 +798,16 @@ func (e *Engine) xPathExists(frontier []netlist.SignalID) bool {
 	return false
 }
 
-func (e *Engine) isOutput(s netlist.SignalID) bool { return e.isOut[s] }
+func (e *Engine) isOutput(s netlist.SignalID) bool { return e.flags[s]&fOut != 0 }
 
 // objective picks the next (signal, value) goal: activate the fault if
 // not yet activated, otherwise advance the best D-frontier gate by
 // setting one of its undetermined side inputs to the non-controlling
-// value.
-func (e *Engine) objective(frontier []netlist.SignalID) (objectiveT, bool) {
+// value. The best gate is the one nearest an output, ties going to the
+// lowest (level, ID) — the first in c.Order, which Finalize sorts that
+// way — so the choice does not depend on the frontier list's order.
+func (e *Engine) objective() (objectiveT, bool) {
+	frontier := e.frontier
 	if !e.activated() || len(frontier) == 0 {
 		// Work on activating a pending site.
 		for _, in := range e.injs {
@@ -757,7 +819,7 @@ func (e *Engine) objective(frontier []netlist.SignalID) (objectiveT, bool) {
 	}
 	best := frontier[0]
 	for _, g := range frontier[1:] {
-		if e.obsDist[g] < e.obsDist[best] {
+		if e.before(g, best) {
 			best = g
 		}
 	}
@@ -779,6 +841,17 @@ func (e *Engine) objective(frontier []netlist.SignalID) (objectiveT, bool) {
 		return objectiveT{}, false
 	}
 	return objectiveT{sig: pick, val: nc}, true
+}
+
+// before orders D-frontier gates by (observation distance, level, ID).
+func (e *Engine) before(a, b netlist.SignalID) bool {
+	if da, db := e.obsDist[a], e.obsDist[b]; da != db {
+		return da < db
+	}
+	if la, lb := e.c.Level[a], e.c.Level[b]; la != lb {
+		return la < lb
+	}
+	return a < b
 }
 
 // backtrace maps an objective back to an unassigned decision input,

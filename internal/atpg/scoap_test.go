@@ -121,13 +121,13 @@ z = NOT(b)
 	z, _ := cc.Lookup("z")
 	f := fault.Fault{Signal: a, Gate: netlist.None, Pin: -1, Stuck: logic.Zero}
 	e.loadFault([]sim.Inject{f.Inject()})
-	if !e.inCone[a] || !e.inCone[y] {
+	if e.flags[a]&fCone == 0 || e.flags[y]&fCone == 0 {
 		t.Error("cone misses fault site or downstream gate")
 	}
-	if e.inCone[z] {
+	if e.flags[z]&fCone != 0 {
 		t.Error("cone includes unrelated gate z")
 	}
-	if !e.isOut[y] || e.isOut[z] {
+	if !e.isOutput(y) || e.isOutput(z) {
 		t.Error("cone outputs wrong")
 	}
 }

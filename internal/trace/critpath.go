@@ -1,14 +1,17 @@
 // Critical-path analysis over an assembled span tree: the operator
 // questions a trace exists to answer. BuildTree resolves parent
-// linkage into a tree, CriticalPath walks the last-finisher chain
-// (the spans that gated the run's wall time), and SelfNS splits a
-// span's duration into own work vs time covered by children — the
-// inputs for straggler attribution and per-phase self/child
+// linkage into a tree, CriticalPath walks backward from the last
+// finisher to the spans that gated the run's wall time, and SelfNS
+// splits a span's duration into own work vs time covered by children
+// — the inputs for straggler attribution and per-phase self/child
 // accounting in fsctstats trace.
 
 package trace
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Node is one span resolved into the trace's tree, children ordered
 // by start offset.
@@ -60,29 +63,62 @@ func BuildTree(spans []Span) *Node {
 	return root
 }
 
-// CriticalPath returns the last-finisher chain from the root down to
-// a leaf: at every level, the child whose span ends last (ties broken
-// toward the later start). That chain is the set of spans that gated
-// the trace's wall time — shortening any other span cannot finish the
-// run earlier. Returns nil on a nil root.
-func CriticalPath(root *Node) []*Node {
+// Step is one span on the critical path and its depth below the root
+// (the root is at depth 0).
+type Step struct {
+	*Node
+	Depth int
+}
+
+// CriticalPath returns the spans that bound the trace's wall time, root
+// first, in depth-first order. Below each span on the path, its
+// children's chain is found by walking backward from the child that
+// finished last (ties toward the later start): the next span back is
+// the sibling that finished last among those that ended no later than
+// the current one started — the work the current one waited for. The
+// chain is listed in time order and each of its spans is expanded the
+// same way. Sequential phases therefore all appear, and the longest of
+// them is the one worth shortening; a sibling that overlaps the chain
+// does not appear, since shortening it cannot finish the run earlier.
+// Returns nil on a nil root.
+func CriticalPath(root *Node) []Step {
 	if root == nil {
 		return nil
 	}
-	path := []*Node{root}
-	n := root
-	for len(n.Children) > 0 {
-		best := n.Children[0]
-		for _, c := range n.Children[1:] {
-			if c.Span.EndNS > best.Span.EndNS ||
-				(c.Span.EndNS == best.Span.EndNS && c.Span.StartNS > best.Span.StartNS) {
-				best = c
-			}
+	var path []Step
+	var walk func(n *Node, depth int)
+	walk = func(n *Node, depth int) {
+		path = append(path, Step{Node: n, Depth: depth})
+		for _, c := range chain(n.Children) {
+			walk(c, depth+1)
 		}
-		path = append(path, best)
-		n = best
 	}
+	walk(root, 0)
 	return path
+}
+
+// chain runs the backward walk over one span's children and returns
+// the chain earliest first.
+func chain(kids []*Node) []*Node {
+	byEnd := append([]*Node(nil), kids...)
+	sort.SliceStable(byEnd, func(i, j int) bool {
+		a, b := byEnd[i].Span, byEnd[j].Span
+		if a.EndNS != b.EndNS {
+			return a.EndNS < b.EndNS
+		}
+		return a.StartNS < b.StartNS
+	})
+	var out []*Node
+	for i := len(byEnd) - 1; i >= 0; {
+		cur := byEnd[i]
+		out = append(out, cur)
+		i--
+		for i >= 0 && byEnd[i].Span.EndNS > cur.Span.StartNS {
+			i--
+		}
+	}
+	slices.Reverse(out)
+	return out
 }
 
 // SelfNS returns the span's self time: its duration minus the union

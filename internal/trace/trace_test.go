@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -324,5 +325,70 @@ func TestDeriveSpanStability(t *testing.T) {
 	}
 	if a.IsZero() || c.IsZero() {
 		t.Error("derived span ID is zero")
+	}
+}
+
+// sequentialFlow is a one-unit flow shaped like full-scale s5378:
+// the four steps run one after another, step 2 (2.40 s) holds most of
+// the wall time and step 3 (27 ms) finishes last. Inside step 2 two
+// fault-sim workers overlap; the one that ends later is the critical
+// one.
+func sequentialFlow() []Span {
+	id := func(b byte) SpanID { return SpanID{7: b} }
+	const ms = 1_000_000
+	return []Span{
+		{Name: "fsctest", Kind: SpanRoot, ID: id(1), StartNS: 0, EndNS: 3_090 * ms},
+		{Name: "unit 0", Kind: SpanUnit, ID: id(2), Parent: id(1), StartNS: 5 * ms, EndNS: 3_085 * ms},
+		{Name: "screen", Kind: SpanPhase, ID: id(3), Parent: id(2), StartNS: 10 * ms, EndNS: 73 * ms},
+		{Name: "step1.alternating", Kind: SpanPhase, ID: id(4), Parent: id(2), StartNS: 80 * ms, EndNS: 600 * ms},
+		{Name: "step2", Kind: SpanPhase, ID: id(5), Parent: id(2), StartNS: 610 * ms, EndNS: 3_010 * ms},
+		{Name: "atpg.comb", Kind: SpanATPG, ID: id(6), Parent: id(5), StartNS: 620 * ms, EndNS: 700 * ms},
+		{Name: "faultsim", Kind: SpanPool, ID: id(7), Parent: id(5), StartNS: 700 * ms, EndNS: 2_900 * ms},
+		{Name: "faultsim", Kind: SpanPool, ID: id(8), Parent: id(5), StartNS: 700 * ms, EndNS: 3_000 * ms},
+		{Name: "step3", Kind: SpanPhase, ID: id(9), Parent: id(2), StartNS: 3_020 * ms, EndNS: 3_047 * ms},
+		{Name: "atpg.final", Kind: SpanATPG, ID: id(10), Parent: id(9), StartNS: 3_021 * ms, EndNS: 3_030 * ms},
+		{Name: "atpg.seq", Kind: SpanATPG, ID: id(11), Parent: id(9), StartNS: 3_031 * ms, EndNS: 3_046 * ms},
+	}
+}
+
+// TestCriticalPathSequentialPhases: the critical path of a sequential
+// flow holds every step in time order, so the dominant step 2 is on it
+// even though step 3 finishes last; inside step 2 the worker that ended
+// first overlaps the chain and is left out.
+func TestCriticalPathSequentialPhases(t *testing.T) {
+	var got []string
+	for _, st := range CriticalPath(BuildTree(sequentialFlow())) {
+		got = append(got, fmt.Sprintf("%d:%s@%d", st.Depth, st.Span.Name, st.Span.EndNS/1_000_000))
+	}
+	want := []string{
+		"0:fsctest@3090", "1:unit 0@3085",
+		"2:screen@73", "2:step1.alternating@600",
+		"2:step2@3010", "3:atpg.comb@700", "3:faultsim@3000",
+		"2:step3@3047", "3:atpg.final@3030", "3:atpg.seq@3046",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("critical path =\n%v\nwant\n%v", got, want)
+	}
+	if CriticalPath(nil) != nil {
+		t.Error("nil root must give a nil path")
+	}
+}
+
+// TestCriticalPathZeroLengthSiblings: zero-length spans (a begin and
+// end in the same clock tick) still terminate the backward walk.
+func TestCriticalPathZeroLengthSiblings(t *testing.T) {
+	id := func(b byte) SpanID { return SpanID{7: b} }
+	root := BuildTree([]Span{
+		{Name: "root", Kind: SpanRoot, ID: id(1), StartNS: 0, EndNS: 10},
+		{Name: "a", Kind: SpanPhase, ID: id(2), Parent: id(1), StartNS: 5, EndNS: 5},
+		{Name: "b", Kind: SpanPhase, ID: id(3), Parent: id(1), StartNS: 5, EndNS: 5},
+		{Name: "c", Kind: SpanPhase, ID: id(4), Parent: id(1), StartNS: 2, EndNS: 4},
+	})
+	var got []string
+	for _, st := range CriticalPath(root) {
+		got = append(got, st.Span.Name)
+	}
+	if want := []string{"root", "c", "a", "b"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("critical path = %v, want %v", got, want)
 	}
 }
