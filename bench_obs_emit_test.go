@@ -4,7 +4,7 @@ package fsct
 // tiers (instrumentation off / on / journal / trace) measured for screening,
 // fault simulation and the full flow, so the <2% disabled-overhead
 // contract has a committed trajectory cmd/benchdiff can gate (the CI
-// job runs it warn-only, like BENCH_baseline.json).
+// job runs it warn-only).
 //
 // It is opt-in — the measurement loop takes a while and pins the CPU —
 // so a plain `go test ./...` skips it:
@@ -20,6 +20,37 @@ import (
 	"repro/internal/fault"
 	"repro/internal/faultsim"
 )
+
+type benchMeasure struct {
+	NsPerOp     int64 `json:"ns_per_op"`
+	BytesPerOp  int64 `json:"bytes_per_op"`
+	AllocsPerOp int64 `json:"allocs_per_op"`
+}
+
+func measure(f func()) benchMeasure {
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f()
+		}
+	})
+	return benchMeasure{
+		NsPerOp:     r.NsPerOp(),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+		AllocsPerOp: r.AllocsPerOp(),
+	}
+}
+
+func mustBenchDesign(t *testing.T, name string) *Design {
+	t.Helper()
+	p := MustProfile(name).Scale(benchScale)
+	c := GenerateCircuit(p, 1)
+	d, err := InsertScan(c, ScanOptions{NumChains: DefaultChains(len(c.FFs)), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
 
 // obsTiers is one engine measured at the three instrumentation tiers.
 type obsTiers struct {

@@ -112,7 +112,9 @@ func main() {
 		RunID:          sess.RunID(),
 	})
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// ReadHeaderTimeout drops clients that open a connection and never
+	// finish the request headers; bodies are bounded by the handlers.
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

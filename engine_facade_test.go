@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"repro/internal/faultsim"
 )
 
 func TestProfileByNameFacade(t *testing.T) {
@@ -18,16 +20,17 @@ func TestProfileByNameFacade(t *testing.T) {
 
 func TestParseEvalBackendFacade(t *testing.T) {
 	for name, want := range map[string]EvalBackend{
-		"auto": EvalAuto, "compiled": EvalCompiled, "packed": EvalPacked,
-		"scalar": EvalScalar, "event": EvalEvent,
+		"auto": EvalAuto, "compiled": EvalCompiled, "hybrid": EvalHybrid,
 	} {
 		got, err := ParseEvalBackend(name)
 		if err != nil || got != want {
 			t.Errorf("ParseEvalBackend(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	if _, err := ParseEvalBackend("quantum"); err == nil {
-		t.Error("ParseEvalBackend accepted junk")
+	for _, name := range []string{"quantum", "packed", "scalar", "event"} {
+		if _, err := ParseEvalBackend(name); err == nil {
+			t.Errorf("ParseEvalBackend accepted %q", name)
+		}
 	}
 }
 
@@ -59,7 +62,8 @@ func TestRunFlowCtxPartialReport(t *testing.T) {
 }
 
 // TestEvalBackendsAgreeViaFacade runs the alternating-test simulation
-// under every forced backend and demands identical detection verdicts.
+// under every backend and demands the scalar reference's detection
+// verdicts.
 func TestEvalBackendsAgreeViaFacade(t *testing.T) {
 	exp := Experiment{Profile: MustProfile("s1423"), Scale: 0.05, Seed: 1}
 	c := GenerateCircuit(exp.Profile.Scale(exp.Scale), exp.Seed)
@@ -69,16 +73,12 @@ func TestEvalBackendsAgreeViaFacade(t *testing.T) {
 	}
 	faults := CollapsedFaults(d.C)
 	seq := Sequence(d.AlternatingSequence(8))
-	var ref *SimResult
-	for _, b := range []EvalBackend{EvalCompiled, EvalPacked, EvalScalar, EvalEvent} {
+	ref := faultsim.RunSerial(d.C, seq, faults, SimOptions{})
+	for _, b := range []EvalBackend{EvalAuto, EvalCompiled, EvalHybrid} {
 		res := SimulateFaultsOpt(d.C, seq, faults, SimOptions{Eval: b})
-		if ref == nil {
-			ref = res
-			continue
-		}
 		for i := range ref.DetectedAt {
 			if res.DetectedAt[i] != ref.DetectedAt[i] {
-				t.Fatalf("backend %v: fault %d detected at %d, compiled says %d",
+				t.Fatalf("backend %v: fault %d detected at %d, serial reference says %d",
 					b, i, res.DetectedAt[i], ref.DetectedAt[i])
 			}
 		}

@@ -13,7 +13,7 @@ import (
 
 // TestScreenDeterministicAcrossWorkers pins the sharded screener's
 // determinism contract: identical []Screened (categories AND location
-// lists) for workers = 1, 4 and GOMAXPROCS, with either evaluator.
+// lists) for workers = 1, 4 and GOMAXPROCS.
 func TestScreenDeterministicAcrossWorkers(t *testing.T) {
 	c := gen.Generate(gen.Profile{Name: "sdet", PIs: 10, POs: 8, FFs: 40, Gates: 600}, 3)
 	d, err := tpi.Insert(c, tpi.Options{NumChains: 2, Seed: 1})
@@ -22,13 +22,10 @@ func TestScreenDeterministicAcrossWorkers(t *testing.T) {
 	}
 	faults := fault.Collapsed(d.C)
 	ref := ScreenOpt(d, faults, ScreenOptions{Workers: 1})
-	for _, mapEval := range []bool{false, true} {
-		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0), 0} {
-			got := ScreenOpt(d, faults, ScreenOptions{Workers: workers, MapEval: mapEval})
-			if !reflect.DeepEqual(ref, got) {
-				t.Fatalf("workers=%d mapEval=%v: screening output differs from serial reference",
-					workers, mapEval)
-			}
+	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0), 0} {
+		got := ScreenOpt(d, faults, ScreenOptions{Workers: workers})
+		if !reflect.DeepEqual(ref, got) {
+			t.Fatalf("workers=%d: screening output differs from serial reference", workers)
 		}
 	}
 }

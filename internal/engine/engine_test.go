@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -219,41 +220,50 @@ func TestCombSearchMemoized(t *testing.T) {
 }
 
 func TestParseBackend(t *testing.T) {
-	for _, b := range []Backend{Auto, Compiled, Packed, Scalar, Event, Hybrid} {
+	for _, b := range []Backend{Auto, Compiled, Hybrid} {
 		got, err := ParseBackend(b.String())
 		if err != nil || got != b {
 			t.Errorf("ParseBackend(%q) = %v, %v", b.String(), got, err)
 		}
 	}
-	if _, err := ParseBackend("warp"); err == nil {
-		t.Error("ParseBackend accepted junk")
+	// The removed backends are rejected with an error naming the
+	// surviving values.
+	for _, name := range []string{"warp", "event", "scalar", "packed", "map"} {
+		_, err := ParseBackend(name)
+		if err == nil {
+			t.Errorf("ParseBackend accepted %q", name)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "auto, compiled or hybrid") {
+			t.Errorf("ParseBackend(%q) error %q does not name the accepted values", name, msg)
+		}
 	}
 }
 
 func TestResolveAuto(t *testing.T) {
 	small := testCircuit(t, 5)
-	if got := Auto.ResolveSeq(small, Hint{Lanes: 1, Cycles: 1000}); got != Compiled {
+	if got := Auto.ResolveSeq(small, Hint{Lanes: 1}); got != Compiled {
 		t.Errorf("small circuit resolved to %v, want compiled", got)
 	}
-	if got := Auto.ResolveComb(); got != Compiled {
-		t.Errorf("Auto comb resolved to %v, want compiled", got)
+	if got := Compiled.ResolveSeq(small, Hint{Lanes: 63}); got != Compiled {
+		t.Errorf("forced backend rewritten to %v", got)
 	}
-	if got := Event.ResolveComb(); got != Scalar {
-		t.Errorf("Event comb resolved to %v, want scalar", got)
-	}
-	if got := Hybrid.ResolveComb(); got != Compiled {
-		t.Errorf("Hybrid comb resolved to %v, want compiled", got)
-	}
-	if got := Packed.ResolveSeq(small, Hint{}); got != Packed {
+	if got := Hybrid.ResolveSeq(small, Hint{Lanes: 1}); got != Hybrid {
 		t.Errorf("forced backend rewritten to %v", got)
 	}
 	// Full-width passes on large sequential circuits take the hybrid
-	// strategy; the same shape without flip-flops stays compiled.
+	// strategy; the one- and two-fault confirmation batches on the same
+	// circuit stay compiled.
 	large := gen.Generate(gen.Profile{Name: "engl", PIs: 8, POs: 6, FFs: 64, Gates: 4200}, 3)
-	if got := Auto.ResolveSeq(large, Hint{Lanes: 63, Cycles: 100}); got != Hybrid {
+	if got := Auto.ResolveSeq(large, Hint{Lanes: 63}); got != Hybrid {
 		t.Errorf("large sequential full-width resolved to %v, want hybrid", got)
 	}
-	if got := Auto.ResolveSeq(small, Hint{Lanes: 63, Cycles: 100}); got != Compiled {
+	for _, lanes := range []int{0, 1, 2} {
+		if got := Auto.ResolveSeq(large, Hint{Lanes: lanes}); got != Compiled {
+			t.Errorf("large sequential with %d lanes resolved to %v, want compiled", lanes, got)
+		}
+	}
+	if got := Auto.ResolveSeq(small, Hint{Lanes: 63}); got != Compiled {
 		t.Errorf("small full-width resolved to %v, want compiled", got)
 	}
 }

@@ -7,10 +7,12 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 )
 
 func randSeq(r *rand.Rand, nPI, cycles int, withX bool) Sequence {
@@ -58,11 +60,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestCompiledMatchesMapEvaluator cross-checks the compiled evaluator
-// backend against the map-based reference over whole fault-simulation
-// runs on randomized circuits and sequences (the faultsim-level
-// counterpart of the sim-package evaluator cross-check).
-func TestCompiledMatchesMapEvaluator(t *testing.T) {
+// TestCompiledMatchesSerialOnRandomCircuits cross-checks the compiled
+// backend against the scalar reference over whole fault-simulation runs
+// on randomized circuits and sequences (the faultsim-level counterpart
+// of the sim-package evaluator cross-checks).
+func TestCompiledMatchesSerialOnRandomCircuits(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 6; trial++ {
 		c := gen.Generate(gen.Profile{
@@ -71,12 +73,12 @@ func TestCompiledMatchesMapEvaluator(t *testing.T) {
 		}, int64(40+trial))
 		faults := fault.Collapsed(c)
 		seq := randSeq(r, len(c.Inputs), 40, true)
-		mapRes := Run(c, seq, faults, Options{Workers: 1, MapEval: true})
-		compRes := Run(c, seq, faults, Options{Workers: 1})
-		for i := range mapRes.DetectedAt {
-			if mapRes.DetectedAt[i] != compRes.DetectedAt[i] {
-				t.Errorf("trial %d fault %d (%s): map %d, compiled %d",
-					trial, i, faults[i].Describe(c), mapRes.DetectedAt[i], compRes.DetectedAt[i])
+		serRes := RunSerial(c, seq, faults, Options{})
+		compRes := Run(c, seq, faults, Options{Workers: 1, Eval: engine.Compiled})
+		for i := range serRes.DetectedAt {
+			if serRes.DetectedAt[i] != compRes.DetectedAt[i] {
+				t.Errorf("trial %d fault %d (%s): serial %d, compiled %d",
+					trial, i, faults[i].Describe(c), serRes.DetectedAt[i], compRes.DetectedAt[i])
 			}
 		}
 	}
@@ -84,22 +86,64 @@ func TestCompiledMatchesMapEvaluator(t *testing.T) {
 
 // TestRunDeterministicAcrossWorkers pins the sharding determinism
 // contract: identical Result for workers = 1, 4 and GOMAXPROCS, with
-// either evaluator backend, with and without early stop.
+// either backend, with and without early stop.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	c := gen.Generate(gen.Profile{Name: "det", PIs: 8, POs: 6, FFs: 20, Gates: 400}, 77)
 	faults := fault.Collapsed(c)
 	seq := randSeq(r, len(c.Inputs), 60, true)
-	for _, mapEval := range []bool{false, true} {
+	for _, b := range []engine.Backend{engine.Compiled, engine.Hybrid} {
 		for _, stop := range []bool{false, true} {
-			ref := Run(c, seq, faults, Options{Workers: 1, MapEval: mapEval, StopWhenAllDetected: stop})
+			ref := Run(c, seq, faults, Options{Workers: 1, Eval: b, StopWhenAllDetected: stop})
 			for _, workers := range []int{4, runtime.GOMAXPROCS(0), 0} {
-				got := Run(c, seq, faults, Options{Workers: workers, MapEval: mapEval, StopWhenAllDetected: stop})
+				got := Run(c, seq, faults, Options{Workers: workers, Eval: b, StopWhenAllDetected: stop})
 				if !reflect.DeepEqual(ref.DetectedAt, got.DetectedAt) {
-					t.Fatalf("mapEval=%v stop=%v: workers=%d result differs from serial",
-						mapEval, stop, workers)
+					t.Fatalf("backend=%v stop=%v: workers=%d result differs from serial",
+						b, stop, workers)
 				}
 			}
+		}
+	}
+}
+
+// TestAutoConfirmationRunsCompiled covers the one- and two-fault
+// confirmation runs on a large sequential circuit over a long sequence
+// (the step-3 regime): Auto resolves them to the compiled sweep, and
+// the detections match the scalar reference.
+func TestAutoConfirmationRunsCompiled(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	c := gen.Generate(gen.Profile{Name: "confirm", PIs: 12, POs: 10, FFs: 48, Gates: 2400}, 5)
+	if len(c.Order) < 2048 || len(c.FFs) == 0 {
+		t.Fatalf("circuit has %d gates and %d flip-flops, want a sequential circuit of at least 2048 gates",
+			len(c.Order), len(c.FFs))
+	}
+	seq := randSeq(r, len(c.Inputs), 80, false)
+	init := make([]logic.V, len(c.FFs)) // all-zero: lets the faults propagate
+	faults := fault.Collapsed(c)[:64]
+	// Pair a detected fault with an undetected one so both verdicts are
+	// checked.
+	ref := RunSerial(c, seq, faults, Options{InitState: init})
+	var hit, miss []fault.Fault
+	for i, d := range ref.DetectedAt {
+		if d >= 0 && hit == nil {
+			hit = faults[i : i+1]
+		}
+		if d < 0 && miss == nil {
+			miss = faults[i : i+1]
+		}
+	}
+	if hit == nil || miss == nil {
+		t.Fatalf("need a detected and an undetected fault among the first %d, got detections %v", len(faults), ref.DetectedAt)
+	}
+	for _, fs := range [][]fault.Fault{hit, miss, {hit[0], miss[0]}} {
+		col := obs.New()
+		got := Run(c, seq, fs, Options{InitState: init, Obs: col})
+		want := RunSerial(c, seq, fs, Options{InitState: init})
+		if !reflect.DeepEqual(got.DetectedAt, want.DetectedAt) {
+			t.Errorf("%d faults: Auto detected at %v, RunSerial at %v", len(fs), got.DetectedAt, want.DetectedAt)
+		}
+		if n := col.Snapshot().Counters["faultsim.eval.compiled"]; n != 1 {
+			t.Errorf("%d faults: faultsim.eval.compiled = %d, want 1 (Auto must resolve to compiled)", len(fs), n)
 		}
 	}
 }

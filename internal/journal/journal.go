@@ -120,20 +120,23 @@ type Event struct {
 }
 
 // DefaultCapacity bounds a recorder constructed with capacity <= 0:
-// 64Ki events (~4 MiB). Large flows overflow the tail counters into
-// Dropped rather than growing without bound.
+// 64Ki events (~4 MiB when full). Large flows overflow the tail
+// counters into Dropped rather than growing without bound.
 const DefaultCapacity = 1 << 16
 
 // Recorder is a bounded event buffer with one monotonic origin. The
+// buffer grows on demand, so a recorder that sees few events holds
+// little memory. The
 // zero value is not used: New returns an enabled recorder, and a nil
 // *Recorder is the disabled one (Emit and the accessors are no-ops).
 // Emit is safe for concurrent use.
 type Recorder struct {
 	start time.Time
 
-	mu      sync.Mutex
-	events  []Event
-	dropped int64
+	mu       sync.Mutex
+	events   []Event
+	capacity int
+	dropped  int64
 
 	observer atomic.Pointer[func(Event)]
 }
@@ -144,7 +147,7 @@ func New(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{start: time.Now(), events: make([]Event, 0, capacity)}
+	return &Recorder{start: time.Now(), capacity: capacity}
 }
 
 // Enabled reports whether the recorder actually records (false for the
@@ -161,7 +164,7 @@ func (r *Recorder) Emit(e Event) {
 	}
 	e.TNS = time.Since(r.start).Nanoseconds() - e.DurNS
 	r.mu.Lock()
-	if len(r.events) < cap(r.events) {
+	if len(r.events) < r.capacity {
 		r.events = append(r.events, e)
 	} else {
 		r.dropped++
@@ -243,7 +246,7 @@ func (r *Recorder) Capacity() int {
 	if r == nil {
 		return 0
 	}
-	return cap(r.events)
+	return r.capacity
 }
 
 // Origin returns the wall-clock instant of the recorder's clock

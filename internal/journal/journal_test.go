@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -55,6 +56,32 @@ func TestBoundedCapacityCountsDrops(t *testing.T) {
 	}
 	if r.Capacity() != 4 {
 		t.Errorf("Capacity = %d, want 4", r.Capacity())
+	}
+}
+
+// TestNewAllocatesOnDemand: a default recorder that sees a few events
+// holds far less than the ~4 MiB a full buffer takes, yet still bounds
+// at DefaultCapacity and counts the overflow exactly as before.
+func TestNewAllocatesOnDemand(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := New(0)
+	for i := 0; i < 8; i++ {
+		r.Emit(Detect(NewFaultKey(i, -1, -1, 0), i))
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Errorf("New(0) plus 8 Emits allocated %d bytes, want well under the 4 MiB of a full buffer", got)
+	}
+	if r.Capacity() != DefaultCapacity || r.Len() != 8 {
+		t.Errorf("Capacity = %d, Len = %d; want %d, 8", r.Capacity(), r.Len(), DefaultCapacity)
+	}
+	for i := 8; i < DefaultCapacity+3; i++ {
+		r.Emit(Detect(NewFaultKey(i, -1, -1, 0), i))
+	}
+	if r.Len() != DefaultCapacity || r.Dropped() != 3 {
+		t.Errorf("after overflow Len = %d, Dropped = %d; want %d, 3", r.Len(), r.Dropped(), DefaultCapacity)
 	}
 }
 

@@ -84,11 +84,24 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// MaxSpecBytes bounds the body of a job submission. A spec is small
+// except for an inline netlist or stimulus; a full-size s38584 .bench
+// netlist is about 0.6 MiB, so the bound leaves room for that and
+// more while keeping one request from pinning unbounded memory. A
+// larger body is answered 413.
+const MaxSpecBytes = 8 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var sp Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				"spec larger than "+strconv.Itoa(MaxSpecBytes)+" bytes")
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad spec: "+err.Error())
 		return
 	}

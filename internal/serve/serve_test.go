@@ -19,6 +19,7 @@ import (
 	"repro/internal/diagnose"
 	"repro/internal/engine"
 	"repro/internal/fault"
+	"repro/internal/faultsim"
 	"repro/internal/ledger"
 	"repro/internal/serve"
 )
@@ -568,5 +569,63 @@ func TestParseByteSize(t *testing.T) {
 		if err == nil && got != c.want {
 			t.Errorf("ParseByteSize(%q) = %d, want %d", c.in, got, c.want)
 		}
+	}
+}
+
+// TestRemovedBackendsRejected: the evaluator names that no longer
+// exist get a 400 whose error names the accepted values.
+func TestRemovedBackendsRejected(t *testing.T) {
+	_, h, _ := testServer(t, serve.Config{})
+	for _, eval := range []string{"event", "scalar", "packed"} {
+		body, _ := json.Marshal(serve.Spec{Kind: serve.KindFaultSim, Circuit: "s27", Eval: eval})
+		resp, err := http.Post(h.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("eval %q: status %d, want 400", eval, resp.StatusCode)
+		}
+		if !strings.Contains(e.Error, "auto, compiled or hybrid") {
+			t.Errorf("eval %q: error %q does not name the accepted values", eval, e.Error)
+		}
+	}
+}
+
+// TestSubmitBodyLimit: a submission larger than serve.MaxSpecBytes gets
+// 413, while the largest spec the benchmark submits (a faultsim job on
+// s1423@0.05 carrying a 500-cycle stimulus inline) is accepted.
+func TestSubmitBodyLimit(t *testing.T) {
+	_, h, _ := testServer(t, serve.Config{})
+	post := func(sp serve.Spec) int {
+		t.Helper()
+		body, _ := json.Marshal(sp)
+		resp, err := http.Post(h.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	sp := serve.Spec{Kind: serve.KindFaultSim, Circuit: "s1423", Scale: 0.05, Seed: 1, Workers: 1}
+	c, err := sp.BuildCircuit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seq strings.Builder
+	if err := faultsim.WriteSequence(&seq, c, serve.RandomSequence(c, 1, 500)); err != nil {
+		t.Fatal(err)
+	}
+	sp.Sequence = seq.String()
+	if code := post(sp); code != http.StatusAccepted {
+		t.Errorf("benchmark-sized spec: status %d, want 202", code)
+	}
+
+	sp.Sequence = strings.Repeat("0", serve.MaxSpecBytes)
+	if code := post(sp); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized spec: status %d, want 413", code)
 	}
 }

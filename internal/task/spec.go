@@ -91,7 +91,9 @@ type Spec struct {
 	// Workers shards each phase's fault axis within the process
 	// (0 = GOMAXPROCS). Results are identical at any width.
 	Workers int `json:"workers,omitempty"`
-	// Eval selects the simulation backend (default "auto").
+	// Eval selects the sequential fault-simulation backend: "auto"
+	// (the default), "compiled" or "hybrid". Screening always runs the
+	// compiled evaluator.
 	Eval string `json:"eval,omitempty"`
 	// Cycles is the random-sequence length for faultsim jobs
 	// (default 500). Ignored when Sequence is set.

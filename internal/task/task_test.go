@@ -266,6 +266,9 @@ func TestNormalizeErrors(t *testing.T) {
 		{Spec{Kind: KindFlow, Circuit: "no-such-profile"}, "no-such-profile"},
 		{Spec{Kind: KindFlow, Circuit: "s27", Scale: 1.5}, "out of range"},
 		{Spec{Kind: KindFlow, Circuit: "s27", Eval: "bogus"}, "bogus"},
+		{Spec{Kind: KindFlow, Circuit: "s27", Eval: "event"}, "want auto, compiled or hybrid"},
+		{Spec{Kind: KindFaultSim, Circuit: "s27", Eval: "scalar"}, "want auto, compiled or hybrid"},
+		{Spec{Kind: KindScreen, Circuit: "s27", Eval: "packed"}, "want auto, compiled or hybrid"},
 		{Spec{Kind: KindFlow, Circuit: "s27", Version: 99}, "version"},
 	}
 	for _, c := range cases {
@@ -350,11 +353,14 @@ func TestExecuteEmitsUnitEvents(t *testing.T) {
 // exactly, and that plans partition the fault axis contiguously with
 // batch-aligned interior boundaries.
 func FuzzSpecRoundTrip(f *testing.F) {
-	f.Add("screen", 0.5, int64(7), 2, 3, "packed", 100, false, 4)
+	f.Add("screen", 0.5, int64(7), 2, 3, "compiled", 100, false, 4)
 	f.Add("faultsim", 0.0, int64(0), 0, 0, "", 0, true, 0)
 	f.Add("atpg", 1.0, int64(-3), 1, -2, "hybrid", -5, false, -1)
 	f.Add("diagnose", 0.25, int64(42), 9, 1, "auto", 17, false, 2)
 	f.Add("flow", 0.1, int64(1), 1, 1, "compiled", 500, false, 1)
+	// A removed backend name: Normalize rejects it, so this seed takes
+	// the Skip path.
+	f.Add("screen", 0.5, int64(7), 2, 3, "packed", 100, false, 4)
 	f.Fuzz(func(t *testing.T, kind string, scale float64, seed int64,
 		chains, workers int, eval string, cycles int, uncollapsed bool, shards int) {
 		sp := Spec{
