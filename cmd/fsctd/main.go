@@ -77,6 +77,17 @@ func exit(code int) {
 	os.Exit(code)
 }
 
+// Connection timeouts. readHeaderTimeout drops clients that open a
+// connection and never finish the request headers (bodies are bounded
+// by the handlers); idleTimeout closes keep-alive connections left
+// idle between requests, so abandoned clients cannot hold sockets
+// open. Neither bounds a response in flight, so SSE streams are
+// unaffected.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
 func main() {
 	var (
 		addr         = flag.String("addr", "localhost:8341", "HTTP listen address")
@@ -112,9 +123,12 @@ func main() {
 		RunID:          sess.RunID(),
 	})
 
-	// ReadHeaderTimeout drops clients that open a connection and never
-	// finish the request headers; bodies are bounded by the handlers.
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

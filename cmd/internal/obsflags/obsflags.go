@@ -2,10 +2,9 @@
 // observability flag surface and lifecycle:
 //
 //	-metrics     instrument the run, emit a metrics snapshot
-//	-trace       stream phase annotations to stderr
-//	-tracefile   export the run's flight-recorder timeline as a Chrome
+//	-tracefile   export the run's assembled span tree as a Chrome
 //	             trace-event JSON file (chrome://tracing, Perfetto)
-//	-otlpfile    export the same timeline as an OTLP/JSON span tree
+//	-otlpfile    export the same span tree as OTLP/JSON
 //	             (OpenTelemetry collectors, fsctstats trace)
 //	-progress    live per-phase progress on stderr (TTY-aware)
 //	-debug       /debug/pprof + /debug/vars + /metrics HTTP server
@@ -26,8 +25,9 @@
 // 128-bit trace ID, or — when the TRACEPARENT environment variable
 // carries a valid W3C traceparent — a child of the caller's span, so a
 // CI script's trace threads through the CLIs it invokes. Commands
-// stamp it into the specs they run with StampTrace; -otlpfile exports
-// the assembled span tree on Close.
+// stamp it into the specs they run with StampTrace. Close assembles
+// the span tree once (trace.Assemble) and hands it to both exporters,
+// so -tracefile and -otlpfile always show the same spans.
 package obsflags
 
 import (
@@ -57,7 +57,6 @@ import (
 // Flags holds the shared observability flag values.
 type Flags struct {
 	Metrics    bool
-	Trace      bool
 	TraceFile  string
 	OTLPFile   string
 	Progress   bool
@@ -75,9 +74,8 @@ type Flags struct {
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{fs: fs}
 	fs.BoolVar(&f.Metrics, "metrics", false, "instrument the run and report metrics")
-	fs.BoolVar(&f.Trace, "trace", false, "stream phase trace annotations to stderr")
-	fs.StringVar(&f.TraceFile, "tracefile", "", "export the run's timeline to this `file` as Chrome trace events (chrome://tracing, Perfetto); same events as -otlpfile, viewer-oriented form")
-	fs.StringVar(&f.OTLPFile, "otlpfile", "", "export the run's timeline to this `file` as an OTLP/JSON span tree (OpenTelemetry collectors, fsctstats trace); same events as -tracefile, tooling-oriented form")
+	fs.StringVar(&f.TraceFile, "tracefile", "", "export the run's span tree to this `file` as Chrome trace events (chrome://tracing, Perfetto); same spans as -otlpfile, viewer-oriented form")
+	fs.StringVar(&f.OTLPFile, "otlpfile", "", "export the run's span tree to this `file` as OTLP/JSON (OpenTelemetry collectors, fsctstats trace); same spans as -tracefile, tooling-oriented form")
 	fs.BoolVar(&f.Progress, "progress", false, "render live per-phase progress on stderr")
 	fs.StringVar(&f.Debug, "debug", "", "serve /debug/pprof, /debug/vars and /metrics on this `address` (e.g. localhost:6060)")
 	fs.StringVar(&f.Ledger, "ledger", "", "append this run's records to the JSONL run ledger at `file` (query with cmd/fsctstats)")
@@ -91,7 +89,7 @@ func Register(fs *flag.FlagSet) *Flags {
 // use it to decide between the nil (free) collector and a real one.
 // -ledger counts: its records carry the metrics snapshot.
 func (f *Flags) Active() bool {
-	return f.Metrics || f.Trace || f.TraceFile != "" || f.OTLPFile != "" ||
+	return f.Metrics || f.TraceFile != "" || f.OTLPFile != "" ||
 		f.Progress || f.Debug != "" || f.Ledger != ""
 }
 
@@ -152,7 +150,7 @@ type Session struct {
 func (f *Flags) Open() (*Session, error) {
 	if f.TraceFile != "" && f.OTLPFile != "" &&
 		filepath.Clean(f.TraceFile) == filepath.Clean(f.OTLPFile) {
-		return nil, fmt.Errorf("-tracefile and -otlpfile name the same path %q: the exporters would overwrite each other (they share events, not a format)", f.TraceFile)
+		return nil, fmt.Errorf("-tracefile and -otlpfile name the same path %q: the exporters would overwrite each other (they share spans, not a format)", f.TraceFile)
 	}
 	s := &Session{flags: f, start: time.Now(), cli: filepath.Base(os.Args[0])}
 	// Root the run's trace. A valid TRACEPARENT in the environment makes
@@ -258,14 +256,16 @@ func (s *Session) SetTraceAttr(key, value string) {
 	s.mu.Unlock()
 }
 
-// Trace assembles the run's span tree from the flight recorder: the
+// assemble builds the run's span tree from the flight recorder: the
 // root span (this CLI invocation, parented to TRACEPARENT's span when
 // one was inherited), one span per executed unit, and the phase,
 // worker-pool and ATPG spans inside each. The resource attributes
 // carry the run identity — run_id, cli, the circuits RecordRun saw,
 // the last structural hash, any SetTraceAttr extras — plus the
 // recorder's dropped-event count, so truncated traces self-describe.
-func (s *Session) Trace() trace.Trace {
+// It also returns the journal events and dropped count the tree was
+// built from, which the Chrome exporter needs for its instant events.
+func (s *Session) assemble() (trace.Trace, []journal.Event, int64) {
 	rec := s.recorder
 	var events []journal.Event
 	var endNS, dropped int64
@@ -284,7 +284,7 @@ func (s *Session) Trace() trace.Trace {
 	extras := append([]trace.Attr(nil), s.traceAttrs...)
 	s.mu.Unlock()
 	res := []trace.Attr{
-		{Key: "service.name", Value: journal.TraceProcessName},
+		{Key: "service.name", Value: trace.ProcessName},
 		{Key: "run_id", Value: s.runID},
 		{Key: "cli", Value: s.cli},
 	}
@@ -301,50 +301,21 @@ func (s *Session) Trace() trace.Trace {
 		OriginNS: originNS,
 		Resource: res,
 		Spans:    trace.Assemble(s.tctx, s.tparent, s.cli, events, endNS),
-	}
-}
-
-// writeOTLP exports the assembled span tree to -otlpfile.
-func (s *Session) writeOTLP() error {
-	if s.flags.OTLPFile == "" {
-		return nil
-	}
-	w, err := os.Create(s.flags.OTLPFile)
-	if err != nil {
-		return fmt.Errorf("otlpfile: %w", err)
-	}
-	err = trace.WriteOTLP(w, s.Trace())
-	if cerr := w.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("otlpfile: %w", err)
-	}
-	return nil
+	}, events, dropped
 }
 
 // TrackCtx installs a unit tracker for the run described by kind and
 // circuit: unit lifecycle transitions land in the session log under
-// correlated run_id/unit_id attributes, and — when the session has a
-// flight recorder — journal events feed the tracker's per-unit progress
-// heartbeat (chained in front of the progress renderer's observer, so
-// -progress keeps working). The returned context carries the tracker
-// into task.Execute; pass it to the run.
+// correlated run_id/unit_id attributes. The tracker is not fed journal
+// events — a CLI runs no stall watchdog and never reads the live
+// estimate, so -progress stays the recorder's only observer. The
+// returned context carries the tracker into task.Execute; pass it to
+// the run.
 func (s *Session) TrackCtx(ctx context.Context, kind, circuit string) context.Context {
 	tr := telemetry.NewRunTracker(telemetry.Info{
 		RunID: s.runID, Kind: kind, Circuit: circuit,
 		TraceID: s.tctx.Trace.String(),
 	}, s.logger)
-	if rec := s.recorder; rec != nil {
-		if prev := s.progress; prev != nil {
-			rec.SetObserver(func(e journal.Event) {
-				prev.Observe(e)
-				tr.Observe(e)
-			})
-		} else {
-			rec.SetObserver(tr.Observe)
-		}
-	}
 	return task.WithTracker(ctx, tr)
 }
 
@@ -363,18 +334,15 @@ func (s *Session) EnsureRecorder() *journal.Recorder {
 func (s *Session) Recorder() *journal.Recorder { return s.recorder }
 
 // Collector returns a fresh enabled collector wired to the session's
-// sinks — stderr tracing per -trace, the shared journal — and
-// publishes it for /debug/vars and /metrics. It returns nil (the
-// disabled collector) when no instrumentation was requested, so
-// callers can pass the result straight into option structs.
+// shared journal and publishes it for /debug/vars and /metrics. It
+// returns nil (the disabled collector) when no instrumentation was
+// requested, so callers can pass the result straight into option
+// structs.
 func (s *Session) Collector() *obs.Collector {
 	if !s.flags.Active() && s.recorder == nil {
 		return nil
 	}
 	col := obs.New()
-	if s.flags.Trace {
-		col.SetTrace(os.Stderr)
-	}
 	col.SetJournal(s.recorder)
 	obs.Publish(col)
 	return col
@@ -448,21 +416,15 @@ func (s *Session) SetExit(code int) {
 }
 
 // Close flushes the session's sinks: the live progress line is
-// terminated, the journal is exported to -tracefile and the assembled
-// span tree to -otlpfile, and the pending
-// run records are appended to -ledger (also on interrupted runs — the
-// partial history is exactly what a SIGINT investigation wants). Safe
-// to call more than once; every exit path must reach it because
-// os.Exit skips defers.
+// terminated, the span tree is assembled once and exported to
+// -tracefile and -otlpfile, and the pending run records are appended
+// to -ledger (also on interrupted runs — the partial history is
+// exactly what a SIGINT investigation wants). Safe to call more than
+// once; every exit path must reach it because os.Exit skips defers.
 func (s *Session) Close() error {
 	s.closeOnce.Do(func() {
 		s.progress.Flush()
-		if s.flags.TraceFile != "" && s.recorder != nil {
-			s.closeErr = s.writeTrace()
-		}
-		if err := s.writeOTLP(); err != nil && s.closeErr == nil {
-			s.closeErr = err
-		}
+		s.closeErr = s.writeTraces()
 		if err := s.writeLedger(); err != nil && s.closeErr == nil {
 			s.closeErr = err
 		}
@@ -482,6 +444,24 @@ func (s *Session) Close() error {
 	return s.closeErr
 }
 
+// writeTraces assembles the span tree once and writes it to
+// -tracefile (Chrome trace events) and -otlpfile (OTLP/JSON).
+func (s *Session) writeTraces() error {
+	if s.flags.TraceFile == "" && s.flags.OTLPFile == "" {
+		return nil
+	}
+	tr, events, dropped := s.assemble()
+	err := writeFile("tracefile", s.flags.TraceFile, func(w io.Writer) error {
+		return trace.WriteChrome(w, tr.Spans, events, dropped)
+	})
+	if oerr := writeFile("otlpfile", s.flags.OTLPFile, func(w io.Writer) error {
+		return trace.WriteOTLP(w, tr)
+	}); err == nil {
+		err = oerr
+	}
+	return err
+}
+
 // writeMemProfile writes the heap profile to -memprofile. A GC first
 // brings the profile up to date (heap profiles are recorded at GC
 // points), so short runs do not export an empty profile.
@@ -489,32 +469,26 @@ func (s *Session) writeMemProfile() error {
 	if s.flags.MemProfile == "" {
 		return nil
 	}
-	w, err := os.Create(s.flags.MemProfile)
-	if err != nil {
-		return fmt.Errorf("memprofile: %w", err)
-	}
 	runtime.GC()
-	err = pprof.WriteHeapProfile(w)
-	if cerr := w.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("memprofile: %w", err)
-	}
-	return nil
+	return writeFile("memprofile", s.flags.MemProfile, pprof.WriteHeapProfile)
 }
 
-func (s *Session) writeTrace() error {
-	w, err := os.Create(s.flags.TraceFile)
-	if err != nil {
-		return fmt.Errorf("tracefile: %w", err)
+// writeFile creates path and fills it with write; errors are prefixed
+// with name (the flag). An empty path writes nothing.
+func writeFile(name, path string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
 	}
-	err = journal.WriteTrace(w, s.recorder.Snapshot(), s.recorder.Dropped())
+	w, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("%s: %w", name, err)
+	}
+	err = write(w)
 	if cerr := w.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return fmt.Errorf("tracefile: %w", err)
+		return fmt.Errorf("%s: %w", name, err)
 	}
 	return nil
 }
@@ -545,11 +519,6 @@ func (s *Session) writeLedger() error {
 		recs[i].WallNS = wall
 	}
 	return ledger.Append(s.flags.Ledger, recs...)
-}
-
-// WriteTraceTo exports the current journal snapshot to w (tests).
-func (s *Session) WriteTraceTo(w io.Writer) error {
-	return journal.WriteTrace(w, s.recorder.Snapshot(), s.recorder.Dropped())
 }
 
 // stderrIsTTY reports whether stderr is a character device, selecting

@@ -1,11 +1,18 @@
 package obsflags
 
 import (
+	"context"
+	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/ledger"
 	"repro/internal/obs"
 	"repro/internal/task"
@@ -25,6 +32,19 @@ func open(t *testing.T, args ...string) *Session {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestRegisterFlagSurface pins the shared observability flag set
+// every CLI gets.
+func TestRegisterFlagSurface(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	Register(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{"debug", "ledger", "log", "logfile", "memprofile", "metrics", "otlpfile", "progress", "tracefile"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flags = %v, want %v", got, want)
+	}
 }
 
 // TestCloseTwiceNoRecorder pins the SIGINT double-close hazard: every
@@ -291,7 +311,7 @@ func TestTraceparentEnvJoinsCallerTrace(t *testing.T) {
 	if got := s.TraceContext().Trace.String(); got != "4bf92f3577b34da6a3ce929d0e0e4736" {
 		t.Fatalf("session trace = %s, want the caller's", got)
 	}
-	tr := s.Trace()
+	tr, _, _ := s.assemble()
 	if got := tr.Parent.String(); got != "00f067aa0ba902b7" {
 		t.Fatalf("root span parent = %s, want the caller's span", got)
 	}
@@ -306,5 +326,122 @@ func TestTraceparentEnvJoinsCallerTrace(t *testing.T) {
 	}
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sliceKey is what the Chrome and OTLP exports must agree on for each
+// span: its name, interval in nanoseconds from the root start, and
+// whether Assemble closed it administratively.
+type sliceKey struct {
+	Name           string
+	StartNS, DurNS int64
+	Unclosed       bool
+}
+
+// TestTraceExportsAgree runs a sharded diagnosis job through a
+// session with both -tracefile and -otlpfile, and closes the session
+// while unit 1 is inside its dictionary phase — the state an interrupted
+// process leaves behind. Both files are written from the one tree
+// Close assembles, so the Chrome file's "X" slices and the OTLP spans
+// must be the same set, the unclosed unit and phase included.
+func TestTraceExportsAgree(t *testing.T) {
+	dir := t.TempDir()
+	chromePath, otlpPath := filepath.Join(dir, "t.json"), filepath.Join(dir, "t.otlp.json")
+	s := open(t, "-tracefile", chromePath, "-otlpfile", otlpPath)
+
+	// Pause the run at unit 1's first phase begin; the observer only
+	// signals, it never calls back into the recorder.
+	paused, resume := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	inUnit1 := false
+	s.Recorder().SetObserver(func(e journal.Event) {
+		switch {
+		case e.Kind == journal.KindUnitBegin && e.A == 1:
+			inUnit1 = true
+		case e.Kind == journal.KindPhaseBegin && inUnit1:
+			once.Do(func() {
+				close(paused)
+				<-resume
+			})
+		}
+	})
+	sp := task.Spec{Kind: task.KindDiagnose, Circuit: "s3384", Scale: 0.05, Units: 3}
+	s.StampTrace(&sp)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := task.Run(ctx, sp, nil, s.Collector())
+		done <- err
+	}()
+	select {
+	case <-paused:
+	case err := <-done:
+		t.Fatalf("run finished (err %v) before unit 1 opened a phase", err)
+	}
+	closeErr := s.Close()
+	cancel()
+	close(resume)
+	<-done
+	if closeErr != nil {
+		t.Fatalf("Close: %v", closeErr)
+	}
+
+	raw, err := os.ReadFile(chromePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph   string         `json:"ph"`
+			Name string         `json:"name"`
+			Ts   float64        `json:"ts"`
+			Dur  float64        `json:"dur"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("tracefile: %v", err)
+	}
+	var chrome []sliceKey
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "X" {
+			chrome = append(chrome, sliceKey{e.Name, int64(math.Round(e.Ts * 1e3)),
+				int64(math.Round(e.Dur * 1e3)), e.Args["unclosed"] == true})
+		}
+	}
+	f, err := os.Open(otlpPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tr, err := trace.ReadOTLP(f)
+	if err != nil {
+		t.Fatalf("otlpfile: %v", err)
+	}
+	var otlp []sliceKey
+	unclosed := map[string]bool{}
+	for _, sp := range tr.Spans {
+		otlp = append(otlp, sliceKey{sp.Name, sp.StartNS, sp.DurNS(), sp.Unclosed})
+		if sp.Unclosed {
+			unclosed[sp.Kind] = true
+		}
+	}
+	if !unclosed[trace.SpanUnit] || !unclosed[trace.SpanPhase] {
+		t.Fatalf("interrupted run left no unclosed unit and phase: %+v", tr.Spans)
+	}
+	for _, keys := range [][]sliceKey{chrome, otlp} {
+		sort.Slice(keys, func(i, j int) bool {
+			a, b := keys[i], keys[j]
+			if a.StartNS != b.StartNS {
+				return a.StartNS < b.StartNS
+			}
+			if a.Name != b.Name {
+				return a.Name < b.Name
+			}
+			return a.DurNS < b.DurNS
+		})
+	}
+	if !reflect.DeepEqual(chrome, otlp) {
+		t.Errorf("Chrome slices and OTLP spans differ:\nchrome %+v\notlp   %+v", chrome, otlp)
 	}
 }

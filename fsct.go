@@ -78,7 +78,9 @@ type (
 	EvalBackend = engine.Backend
 	// EngineCache memoizes per-circuit derived artifacts (compiled
 	// programs, collapsed fault lists, combinational ATPG models and
-	// SCOAP tables) across flow phases and library calls.
+	// SCOAP tables) across flow phases and library calls. Passing nil
+	// wherever an *EngineCache is accepted selects the shared
+	// process-wide cache.
 	EngineCache = engine.Cache
 )
 
@@ -92,15 +94,6 @@ const (
 // ParseEvalBackend maps a flag string (auto, compiled, hybrid) to an
 // EvalBackend.
 func ParseEvalBackend(s string) (EvalBackend, error) { return engine.ParseBackend(s) }
-
-// NewEngineCache returns an empty artifact cache. Passing nil wherever
-// an *EngineCache is accepted selects the shared process-wide cache;
-// NewEngineBypass returns a cache that never memoizes (every phase
-// rebuilds its derived structures — the ablation reference).
-func NewEngineCache() *EngineCache { return engine.New() }
-
-// NewEngineBypass returns the never-memoizing cache; see NewEngineCache.
-func NewEngineBypass() *EngineCache { return engine.Bypass() }
 
 // Logic constants.
 const (
@@ -258,28 +251,12 @@ func BuildDictionary(d *Design, faults []Fault, seed uint64) *Dictionary {
 	return diagnose.Build(d, faults, diagnose.DefaultSequences(d, seed))
 }
 
-// BuildDictionaryOpt is BuildDictionary with the 63-fault simulation
-// batches sharded across workers goroutines (0 = GOMAXPROCS); the
-// dictionary is identical at any width.
-func BuildDictionaryOpt(d *Design, faults []Fault, seed uint64, workers int) *Dictionary {
-	return diagnose.BuildOpt(d, faults, diagnose.DefaultSequences(d, seed), workers)
-}
-
-// BuildDictionaryCtx is BuildDictionaryOpt with cooperative
-// cancellation; discard the dictionary when the error is non-nil.
+// BuildDictionaryCtx is BuildDictionary with the 63-fault simulation
+// batches sharded across workers goroutines (0 = GOMAXPROCS) and with
+// cooperative cancellation; the dictionary is identical at any width.
+// Discard it when the error is non-nil.
 func BuildDictionaryCtx(ctx context.Context, d *Design, faults []Fault, seed uint64, workers int) (*Dictionary, error) {
 	return diagnose.BuildOptCtx(ctx, d, faults, diagnose.DefaultSequences(d, seed), workers)
-}
-
-// BuildDictionaryObs is BuildDictionaryCtx instrumented through col:
-// the build runs under a "dictionary" phase, its worker pool reports
-// utilization as the "diagnose" pool, and with a journal attached both
-// emit flight-recorder events. A nil collector makes it identical to
-// BuildDictionaryCtx.
-func BuildDictionaryObs(ctx context.Context, d *Design, faults []Fault, seed uint64, workers int, col *Collector) (*Dictionary, error) {
-	sp := col.Phase("dictionary")
-	defer sp.End()
-	return diagnose.BuildObsCtx(ctx, d, faults, diagnose.DefaultSequences(d, seed), workers, col)
 }
 
 // ChainNets returns every on-path net of the design's chains.
@@ -353,24 +330,18 @@ func AnalyzeTestability(c *Circuit, pinned map[SignalID]Value) (*Testability, *C
 // in the task layer so CLI and daemon defaults cannot drift.)
 func DefaultChains(ffs int) int { return task.DefaultChains(ffs) }
 
-// Task-layer re-exports: the canonical serializable Spec -> Plan ->
-// Execute -> Merge pipeline every batch CLI and the fsctd daemon run
-// on. See internal/task for the contract; library users get the same
-// orchestration (and therefore byte-identical reports) through these
-// aliases.
+// Task-layer re-exports: the serializable job Spec and RunTask, the
+// canonical Spec -> Plan -> Execute -> Merge pipeline every batch CLI
+// and the fsctd daemon run on. See internal/task for the contract;
+// library users get the same orchestration (and therefore
+// byte-identical reports) through these aliases.
 type (
 	// TaskSpec is a serializable job description (kind, circuit
 	// source, run options).
 	TaskSpec = task.Spec
-	// TaskUnit is one deterministic shard work-unit of a planned spec.
-	TaskUnit = task.Unit
-	// TaskPartial is the mergeable result of executing one unit.
-	TaskPartial = task.Partial
 	// TaskResult is a merged job outcome (report text, ledger extras,
 	// per-kind data).
 	TaskResult = task.Result
-	// TaskDefaults is the per-kind option-defaults table.
-	TaskDefaults = task.Defaults
 )
 
 // Job kinds accepted by TaskSpec.Kind.
@@ -381,26 +352,6 @@ const (
 	TaskFaultSim = task.KindFaultSim
 	TaskDiagnose = task.KindDiagnose
 )
-
-// TaskDefaultsFor returns the option defaults for a job kind — the
-// single table the CLI flags and the daemon's spec normalization share.
-func TaskDefaultsFor(kind string) TaskDefaults { return task.DefaultsFor(kind) }
-
-// PlanTask splits a spec into at most shards batch-aligned work-units;
-// merging their results is byte-identical to a single-unit run.
-func PlanTask(sp TaskSpec, shards int, cache *EngineCache) ([]TaskUnit, error) {
-	return task.Plan(sp, shards, cache)
-}
-
-// ExecuteTask runs one work-unit and returns its mergeable partial.
-func ExecuteTask(ctx context.Context, u TaskUnit, cache *EngineCache, col *Collector) (*TaskPartial, error) {
-	return task.Execute(ctx, u, cache, col)
-}
-
-// MergeTask reassembles unit partials into the job result.
-func MergeTask(sp TaskSpec, parts []*TaskPartial, interrupted bool) (*TaskResult, error) {
-	return task.Merge(sp, parts, interrupted)
-}
 
 // RunTask executes a spec end to end in this process (Plan + Execute +
 // Merge) — the path behind every batch CLI and daemon job.

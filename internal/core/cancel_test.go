@@ -16,6 +16,7 @@ import (
 	"repro/internal/faultsim"
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // countCtx is a context that reports itself cancelled after its Err
@@ -213,9 +214,15 @@ func TestCancelJournalFlush(t *testing.T) {
 				t.Errorf("budget %d: phase %q left %d span(s) open after cancel", budget, name, n)
 			}
 		}
+		spans := trace.Assemble(trace.NewContext(), trace.SpanID{}, "run", events, rec.Elapsed().Nanoseconds())
+		for _, sp := range spans {
+			if sp.Unclosed {
+				t.Errorf("budget %d: span %q assembled unclosed after cancel", budget, sp.Name)
+			}
+		}
 		var buf bytes.Buffer
-		if err := journal.WriteTrace(&buf, events, rec.Dropped()); err != nil {
-			t.Fatalf("budget %d: WriteTrace: %v", budget, err)
+		if err := trace.WriteChrome(&buf, spans, events, rec.Dropped()); err != nil {
+			t.Fatalf("budget %d: WriteChrome: %v", budget, err)
 		}
 		var doc struct {
 			TraceEvents []map[string]any `json:"traceEvents"`

@@ -299,8 +299,6 @@ func RunCtx(ctx context.Context, d *scan.Design, p Params) (*Report, error) {
 	if col.Enabled() {
 		col.Counter("step1.confirmed").Add(int64(rep.EasyConfirmed))
 		col.Counter("step1.escapes").Add(int64(rep.EasyEscapes))
-		col.Tracef("step1: %d/%d easy faults confirmed by the alternating test, %d escapes rejoin f_hard",
-			rep.EasyConfirmed, len(easyFaults), rep.EasyEscapes)
 	}
 
 	// ---- Step 2: combinational ATPG + sequential fault simulation ----
@@ -325,8 +323,6 @@ func RunCtx(ctx context.Context, d *scan.Design, p Params) (*Report, error) {
 		col.Counter("step2.detected").Add(int64(rep.Step2.Detected))
 		col.Counter("step2.undetectable").Add(int64(rep.Step2.Undetectable))
 		col.Counter("step2.vectors").Add(int64(rep.Step2Vectors))
-		col.Tracef("step2: %d detected, %d proven undetectable, %d vectors, %d faults remain",
-			rep.Step2.Detected, rep.Step2.Undetectable, rep.Step2Vectors, len(remaining))
 	}
 
 	// ---- Step 3: grouped sequential ATPG with enhanced C/O ----
@@ -345,9 +341,6 @@ func RunCtx(ctx context.Context, d *scan.Design, p Params) (*Report, error) {
 		col.Counter("step3.models").Add(int64(rep.COCircuits))
 		col.Counter("step3.final_models").Add(int64(rep.FinalCOCircuits))
 		col.Counter("step3.translation_miss").Add(int64(rep.TranslationMiss))
-		col.Tracef("step3: %d detected, %d undetectable, %d undetected over %d+%d C/O models",
-			rep.Step3.Detected, rep.Step3.Undetectable, rep.Step3.Undetected,
-			rep.COCircuits, rep.FinalCOCircuits)
 	}
 	return finish(nil)
 }

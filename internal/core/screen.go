@@ -333,7 +333,6 @@ func ScreenOptCtx(ctx context.Context, d *scan.Design, faults []fault.Fault, opt
 		col.Counter("screen.easy").Add(n1)
 		col.Counter("screen.hard").Add(n2)
 		col.Counter("screen.unaffecting").Add(n3)
-		col.Tracef("screen: %d faults -> %d easy, %d hard, %d unaffecting", len(out), n1, n2, n3)
 	}
 	return out, err
 }

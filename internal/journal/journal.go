@@ -8,9 +8,10 @@
 //
 // Three consumers sit on top of the recorder:
 //
-//   - WriteTrace exports the event buffer in the Chrome trace-event
-//     format, so phase and per-worker timelines open directly in
-//     chrome://tracing or Perfetto;
+//   - internal/trace assembles the buffer into a span tree and encodes
+//     it as OTLP/JSON and as a Chrome trace-event file, so phase and
+//     per-worker timelines open directly in chrome://tracing or
+//     Perfetto;
 //   - Progress subscribes to events live and renders a throttled
 //     rate/ETA line per phase on a terminal;
 //   - provenance replay (internal/core) scans the buffer to explain a

@@ -29,8 +29,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math/bits"
 	"sort"
 	"sync"
@@ -45,9 +43,6 @@ import (
 // the disabled one.
 type Collector struct {
 	start time.Time // monotonic run origin
-
-	traceMu sync.Mutex
-	trace   io.Writer
 
 	jr atomic.Pointer[journal.Recorder]
 
@@ -93,31 +88,6 @@ func New() *Collector {
 // Enabled reports whether the collector actually records (false for the
 // nil collector).
 func (c *Collector) Enabled() bool { return c != nil }
-
-// SetTrace directs live phase-tracing output (one line per phase start
-// and end, stamped with the offset from the collector's origin) to w.
-// Pass nil to disable. No-op on the nil collector.
-func (c *Collector) SetTrace(w io.Writer) {
-	if c == nil {
-		return
-	}
-	c.traceMu.Lock()
-	c.trace = w
-	c.traceMu.Unlock()
-}
-
-// Tracef writes one stamped line to the trace writer, if any.
-func (c *Collector) Tracef(format string, args ...any) {
-	if c == nil {
-		return
-	}
-	c.traceMu.Lock()
-	if c.trace != nil {
-		fmt.Fprintf(c.trace, "[%10.4fs] %s\n",
-			time.Since(c.start).Seconds(), fmt.Sprintf(format, args...))
-	}
-	c.traceMu.Unlock()
-}
 
 // SetJournal attaches a flight-recorder journal: phase spans recorded
 // through this collector are mirrored into it as events, and
@@ -213,7 +183,6 @@ func (c *Collector) Phase(name string) *Span {
 	idx := len(c.phases)
 	c.phases = append(c.phases, phase{name: name, start: time.Since(c.start), open: true})
 	c.mu.Unlock()
-	c.Tracef("phase %s: start", name)
 	c.Journal().Emit(journal.PhaseBegin(name))
 	return &Span{c: c, idx: idx, t0: time.Now()}
 }
@@ -244,7 +213,6 @@ func (s *Span) End() time.Duration {
 	s.c.phases[s.idx].open = false
 	s.c.mu.Unlock()
 	name := s.c.phaseName(s.idx)
-	s.c.Tracef("phase %s: end (%s)", name, d.Round(time.Microsecond))
 	s.c.Journal().Emit(journal.PhaseEnd(name, d))
 	return d
 }

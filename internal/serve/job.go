@@ -194,7 +194,7 @@ func (j *Job) Trace(runID string) trace.Trace {
 	}
 	spans := trace.Assemble(j.tctx, j.tparent, "job "+j.id, j.rec.Snapshot(), endNS)
 	res := []trace.Attr{
-		{Key: "service.name", Value: journal.TraceProcessName},
+		{Key: "service.name", Value: trace.ProcessName},
 		{Key: "run_id", Value: runID},
 		{Key: "job_id", Value: j.id},
 		{Key: "kind", Value: j.spec.Kind},

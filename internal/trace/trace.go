@@ -10,12 +10,13 @@
 // same trace. Assemble replays a journal event buffer into a span
 // tree under such a context: one root span per CLI invocation or
 // daemon job, a child span per task unit, nested phase spans, and
-// leaf spans for worker-pool items and ATPG attempts. The OTLP
-// writer (otlp.go) serializes the result in the OpenTelemetry
+// leaf spans for worker-pool items and ATPG attempts. Two encoders
+// serialize the result: the OTLP writer (otlp.go) in the OpenTelemetry
 // OTLP/JSON shape without importing any OpenTelemetry code, and the
-// analysis helpers (critpath.go) answer the operator questions —
-// critical path, self time, stragglers — that motivate tracing in
-// the first place.
+// Chrome writer (chrome.go) as a trace-event file for chrome://tracing
+// and Perfetto. The analysis helpers (critpath.go) answer the
+// operator questions — critical path, self time, stragglers — that
+// motivate tracing in the first place.
 //
 // Everything here is offline: spans are assembled from the journal
 // after (or during) a run, never allocated on hot paths, so the
@@ -208,7 +209,8 @@ func (s Span) DurNS() int64 { return s.EndNS - s.StartNS }
 // ctx.Span, parented to the inbound parent when nonzero) covering
 // [0, endNS]; unit begin/end events become unit spans under the root;
 // phase begin/end events become nested phase spans; worker-pool items
-// and ATPG attempts become leaf spans under the innermost open span.
+// (attributes worker, index, total) and ATPG attempts (fault, status,
+// backtracks) become leaf spans under the innermost open span.
 // Instant events (notes, classifications, detections, cache lookups)
 // carry no duration and are skipped.
 //
@@ -305,12 +307,21 @@ func Assemble(ctx Context, parent SpanID, rootName string, events []journal.Even
 			spans = append(spans, Span{
 				Name: e.Arg, Kind: SpanPool, ID: next(), Parent: top().ID,
 				StartNS: e.TNS, EndNS: e.TNS + e.DurNS,
-				Attrs: []Attr{{"worker", strconv.FormatInt(int64(e.Worker), 10)}},
+				Attrs: []Attr{
+					{"worker", strconv.FormatInt(int64(e.Worker), 10)},
+					{"index", strconv.FormatInt(e.A, 10)},
+					{"total", strconv.FormatInt(e.B, 10)},
+				},
 			})
 		case journal.KindATPG:
 			spans = append(spans, Span{
 				Name: e.Arg, Kind: SpanATPG, ID: next(), Parent: top().ID,
 				StartNS: e.TNS, EndNS: e.TNS + e.DurNS,
+				Attrs: []Attr{
+					{"fault", strconv.FormatInt(e.A, 10)},
+					{"status", strconv.FormatInt(e.B, 10)},
+					{"backtracks", strconv.FormatInt(e.C, 10)},
+				},
 			})
 		}
 	}

@@ -70,13 +70,6 @@ type JournalEvent = journal.Event
 // keeps counting them.
 func NewJournal(capacity int) *Journal { return journal.New(capacity) }
 
-// WriteJournalTrace serializes journal events (Journal.Snapshot) in
-// Chrome trace-event JSON format, loadable by chrome://tracing and
-// Perfetto. dropped (Journal.Dropped) is annotated in the timeline.
-func WriteJournalTrace(w io.Writer, events []JournalEvent, dropped int64) error {
-	return journal.WriteTrace(w, events, dropped)
-}
-
 // Provenance is the journal-derived explanation of what the flow
 // decided about one fault; see ExplainFault.
 type Provenance = core.Provenance
