@@ -3,7 +3,10 @@ package core
 import (
 	"testing"
 
+	"repro/internal/atpg"
+	"repro/internal/engine"
 	"repro/internal/fault"
+	"repro/internal/faultsim"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/scan"
@@ -77,23 +80,101 @@ func TestSpanHelpers(t *testing.T) {
 	}
 }
 
-func TestTryVectorFillsDeterministic(t *testing.T) {
-	d := s27Design(t, 1)
-	// A fault known detectable by loading: pick a chain path stem fault.
-	p := d.Chains[0].Segment[1].Path[0]
-	f := fault.Fault{Signal: p, Gate: netlist.None, Pin: -1, Stuck: logic.One}
-	v := scanVector()
-	a, err := tryVectorFills(nil, d, f, v, 4, Params{})
+// TestFillHitsMatchSingleFaultRuns pins the final pass's fill
+// semantics: a fault's vector hits if and only if its zero fill or one
+// of its eight pseudo-random fills detects it in a one-fault RunCtx.
+// The reference is the one-at-a-time loop the lane-paired Confirm call
+// replaced, kept here verbatim.
+func TestFillHitsMatchSingleFaultRuns(t *testing.T) {
+	d := genDesign(t, 300, 24, 2, 8)
+	arts := engine.Default().For(d.C)
+	cm, err := arts.CombModel()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := tryVectorFills(nil, d, f, v, 4, Params{})
+	fixed := make(map[netlist.SignalID]logic.V, len(d.Assignments))
+	for k, v := range d.Assignments {
+		fixed[k] = v
+	}
+	model, tables, err := arts.CombSearch(fixed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Error("tryVectorFills nondeterministic")
+	eng := atpg.NewEngineTables(model, tables)
+
+	// Every third fault, with its PODEM vector when one exists and an
+	// empty vector (all don't-cares) otherwise or on alternate picks.
+	var faults []fault.Fault
+	var vectors []scan.Vector
+	for i, f := range fault.Collapsed(d.C) {
+		if i%3 != 0 {
+			continue
+		}
+		v := scanVector()
+		if r := eng.Generate(cm.MapFault(f), 250); r.Status == atpg.Found && i%2 == 0 {
+			for in, val := range r.Assignment {
+				if d.C.IsFF(in) {
+					v.FFs[in] = val
+				} else {
+					v.PIs[in] = val
+				}
+			}
+		}
+		faults = append(faults, f)
+		vectors = append(vectors, v)
 	}
+
+	reference := func(f fault.Fault, v scan.Vector) bool {
+		rng := uint64(f.Signal)<<40 ^ uint64(f.Gate)<<16 ^ uint64(f.Pin)<<8 ^ uint64(f.Stuck) ^ 0x9e3779b97f4a7c15
+		next := func() logic.V {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			return logic.V((rng >> 33) & 1)
+		}
+		for try := 0; try < 9; try++ {
+			vv := scan.Vector{FFs: make(map[netlist.SignalID]logic.V, len(d.C.FFs)), PIs: v.PIs}
+			for k, val := range v.FFs {
+				vv.FFs[k] = val
+			}
+			if try > 0 {
+				for _, ff := range d.C.FFs {
+					if _, ok := vv.FFs[ff]; !ok {
+						vv.FFs[ff] = next()
+					}
+				}
+			}
+			seq := faultsim.Sequence(d.ConvertVectors([]scan.Vector{vv}))
+			fr, err := faultsim.RunCtx(nil, d.C, seq, []fault.Fault{f}, faultsim.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fr.DetectedAt[0] >= 0 {
+				return true
+			}
+		}
+		return false
+	}
+
+	hits := 0
+	for _, workers := range []int{1, 3} {
+		got, err := fillHits(nil, d, faults, vectors, Params{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits = 0
+		for i, f := range faults {
+			want := reference(f, vectors[i])
+			if got[i] != want {
+				t.Errorf("workers=%d: fault %s: fillHits %v, one-at-a-time fills %v", workers, f.Describe(d.C), got[i], want)
+			}
+			if want {
+				hits++
+			}
+		}
+	}
+	if hits == 0 || hits == len(faults) {
+		t.Fatalf("%d of %d faults hit: the comparison needs both outcomes", hits, len(faults))
+	}
+	t.Logf("%d of %d faults hit", hits, len(faults))
 }
 
 func scanVector() (v scan.Vector) {

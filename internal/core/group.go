@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"slices"
 
 	"repro/internal/atpg"
@@ -10,22 +11,28 @@ import (
 	"repro/internal/faultsim"
 	"repro/internal/logic"
 	"repro/internal/netlist"
+	"repro/internal/par"
 	"repro/internal/scan"
 	"repro/internal/seqatpg"
 )
 
-// tryVectorFills converts vector v with its don't-care flip-flop bits
-// filled first with zeros, then with deterministic pseudo-random
-// patterns, fault-simulating each single-vector sequence until one
-// detects f. The fill changes the chain data surrounding the corrupted
-// capture, and with it whether the effect survives the shift-out.
-func tryVectorFills(ctx context.Context, d *scan.Design, f fault.Fault, v scan.Vector, tries int, p Params) (bool, error) {
+// fillTries is the number of fills the final pass confirms per fresh
+// vector: the zero fill and eight pseudo-random ones.
+const fillTries = 9
+
+// vectorFills converts vector v into one single-vector scan sequence per
+// fill of its don't-care flip-flop bits: first filled with zeros, then
+// with tries-1 deterministic pseudo-random patterns seeded by the fault
+// f. The fill changes the chain data surrounding the corrupted capture,
+// and with it whether the effect survives the shift-out.
+func vectorFills(d *scan.Design, f fault.Fault, v scan.Vector, tries int) []faultsim.Sequence {
 	rng := uint64(f.Signal)<<40 ^ uint64(f.Gate)<<16 ^ uint64(f.Pin)<<8 ^ uint64(f.Stuck) ^ 0x9e3779b97f4a7c15
 	next := func() logic.V {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		return logic.V((rng >> 33) & 1)
 	}
-	for try := 0; try < tries; try++ {
+	seqs := make([]faultsim.Sequence, tries)
+	for try := range seqs {
 		vv := scan.Vector{FFs: make(map[netlist.SignalID]logic.V, len(d.C.FFs)), PIs: v.PIs}
 		for k, val := range v.FFs {
 			vv.FFs[k] = val
@@ -37,17 +44,30 @@ func tryVectorFills(ctx context.Context, d *scan.Design, f fault.Fault, v scan.V
 				}
 			}
 		}
-		seq := faultsim.Sequence(d.ConvertVectors([]scan.Vector{vv}))
-		fr, err := faultsim.RunCtx(ctx, d.C, seq, []fault.Fault{f},
-			faultsim.Options{Eval: p.Eval, Cache: p.Engine, Obs: p.Obs})
-		if err != nil {
-			return false, err
-		}
-		if fr.DetectedAt[0] >= 0 {
-			return true, nil
+		seqs[try] = faultsim.Sequence(d.ConvertVectors([]scan.Vector{vv}))
+	}
+	return seqs
+}
+
+// fillHits reports, per fault, whether any of the fillTries fills of its
+// vector detects it, confirming every fill of every fault in one
+// faultsim.Confirm call.
+func fillHits(ctx context.Context, d *scan.Design, faults []fault.Fault, vectors []scan.Vector, p Params) ([]bool, error) {
+	trials := make([]faultsim.Trial, 0, len(faults)*fillTries)
+	for i, f := range faults {
+		for _, seq := range vectorFills(d, f, vectors[i], fillTries) {
+			trials = append(trials, faultsim.Trial{Seq: seq, Fault: f})
 		}
 	}
-	return false, nil
+	det, err := faultsim.Confirm(ctx, d.C, trials, p.simOptions(true))
+	if err != nil {
+		return nil, err
+	}
+	hits := make([]bool, len(faults))
+	for i := range hits {
+		hits[i] = slices.ContainsFunc(det[i*fillTries:(i+1)*fillTries], func(cyc int) bool { return cyc >= 0 })
+	}
+	return hits, nil
 }
 
 // coModel describes one increased-controllability/observability circuit
@@ -225,7 +245,9 @@ func planGroups(d *scan.Design, remaining []Screened, p Params) []coModel {
 }
 
 // runStep3 runs grouped sequential ATPG with confirmation fault
-// simulation, then a final per-fault pass with a larger effort budget.
+// simulation, then a final per-fault pass with a larger effort budget,
+// then a random-vector rescue of whatever is still open, under the
+// phases step3.groups, step3.final and step3.rescue.
 //
 // Undetectability is only ever claimed on a sound basis: combinational
 // redundancy of the scan-mode model (which implies sequential
@@ -237,124 +259,252 @@ func runStep3(ctx context.Context, d *scan.Design, remaining []Screened, p Param
 	if len(remaining) == 0 {
 		return nil
 	}
-	rec := p.Obs.Journal()
 	models := planGroups(d, remaining, p)
 	rep.COCircuits = len(models)
+	status := make(map[fault.Fault]byte) // 0 open, 1 detected, 2 undetectable
 
-	// Shared scan-mode combinational model for redundancy proofs and
-	// final-pass vector retries. In a partial-scan design the model
-	// would wrongly treat non-scan flip-flops as loadable and their D
-	// pins as observable, so both the proofs and the retries are
-	// disabled there (the paper's partial-scan setting relies on random
-	// vectors and sequential ATPG only). The model and SCOAP tables come
-	// from the artifact cache — step 2 asked for the same (circuit,
-	// fixed assignment) pair, so nothing is recomputed here.
-	var combEng *atpg.Engine
-	var cm *atpg.CombModel
-	if !d.Partial() {
-		arts := engine.Resolve(p.Engine).ForObs(d.C, p.Obs)
-		var err error
-		cm, err = arts.CombModel()
-		if err != nil {
-			return err
-		}
-		fixed := make(map[netlist.SignalID]logic.V, len(d.Assignments))
-		for k, v := range d.Assignments {
-			fixed[k] = v
-		}
-		combModel, tables, err := arts.CombSearch(fixed)
-		if err != nil {
-			return err
-		}
-		combEng = atpg.NewEngineTables(combModel, tables)
-		combEng.Instrument(p.Obs, "atpg.final")
+	span := p.Obs.Phase("step3.groups")
+	finalQueue, err := runGroups(ctx, d, models, p, rep, status)
+	span.End()
+	if err != nil {
+		return err
 	}
 
-	status := make(map[fault.Fault]byte) // 0 open, 1 detected, 2 undetectable
-	var finalQueue []Screened
+	// With more than one worker the random rescue starts with the final
+	// pass, over every fault it targets, and runs beside stages (a) and
+	// (b). A fault's rescue verdict does not depend on its batch mates,
+	// so rescuing this superset gives the same verdicts as rescuing only
+	// what the final pass leaves open; when (a) and (b) leave nothing
+	// open, the rescue is cancelled. It is joined before stage (c),
+	// whose per-fault unrolled models are step 3's largest allocations.
+	span = p.Obs.Phase("step3.final")
+	var early *rescueRun
+	if len(finalQueue) > 0 && par.Workers(p.Workers) > 1 {
+		early = startRescue(ctx, d, finalQueue, p)
+	}
+	open, err := runFinal(ctx, d, finalQueue, p, status)
+	if early != nil {
+		if len(open) == 0 {
+			early.stop()
+		}
+		<-early.done
+	}
+	if err == nil {
+		err = finalSeqATPG(ctx, d, open, p, rep, status)
+	}
+	span.End()
+	if err != nil {
+		return err
+	}
+
+	span = p.Obs.Phase("step3.rescue")
+	err = finishRescue(ctx, d, finalQueue, early, p, status)
+	span.End()
+	if err != nil {
+		return err
+	}
+
+	for _, s := range remaining {
+		switch status[s.Fault] {
+		case 1:
+			rep.Step3.Detected++
+		case 2:
+			rep.Step3.Undetectable++
+		default:
+			rep.Step3.Undetected++
+			rep.UndetectedFaults = append(rep.UndetectedFaults, s.Fault)
+		}
+	}
+	return nil
+}
+
+// runGroups runs sequential ATPG on every fault of every grouped C/O
+// model (planGroups puts each fault in exactly one), then confirms all
+// generated sequences in one faultsim.Confirm call. Confirmed faults are
+// marked detected; the rest are returned, in model order, for the final
+// pass.
+func runGroups(ctx context.Context, d *scan.Design, models []coModel, p Params, rep *Report, status map[fault.Fault]byte) ([]Screened, error) {
+	rec := p.Obs.Journal()
+	type attempt struct {
+		s     Screened
+		trial int // index into trials; -1 when no sequence was generated
+	}
+	var attempts []attempt
+	var trials []faultsim.Trial
 	for _, m := range models {
 		tm, err := seqatpg.Build(d, m.ctrl, m.obs, m.frames)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		tm.Instrument(p.Obs, "atpg.seq")
 		for _, s := range m.faults {
-			if status[s.Fault] != 0 {
-				continue
-			}
 			done := timeATPG(rec, "atpg.seq", s.Fault)
 			res, err := tm.GenerateCtx(ctx, s.Fault, p.SeqBacktracks)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			done(res.Status, res.Backtracks)
-			switch res.Status {
-			case atpg.Found:
-				fr, err := faultsim.RunCtx(ctx, d.C, faultsim.Sequence(res.Sequence),
-					[]fault.Fault{s.Fault}, faultsim.Options{Eval: p.Eval, Cache: p.Engine, Obs: p.Obs})
-				if err != nil {
-					return err
-				}
-				if fr.DetectedAt[0] >= 0 {
-					status[s.Fault] = 1
-				} else {
-					rep.TranslationMiss++
-					finalQueue = append(finalQueue, s)
-				}
-			default:
-				finalQueue = append(finalQueue, s)
+			a := attempt{s: s, trial: -1}
+			if res.Status == atpg.Found {
+				a.trial = len(trials)
+				trials = append(trials, faultsim.Trial{Seq: faultsim.Sequence(res.Sequence), Fault: s.Fault})
 			}
+			attempts = append(attempts, a)
 		}
 	}
+	det, err := faultsim.Confirm(ctx, d.C, trials, p.simOptions(true))
+	if err != nil {
+		return nil, err
+	}
+	var queue []Screened
+	for _, a := range attempts {
+		switch {
+		case a.trial < 0:
+			queue = append(queue, a.s)
+		case det[a.trial] >= 0:
+			status[a.s.Fault] = 1
+		default:
+			rep.TranslationMiss++
+			queue = append(queue, a.s)
+		}
+	}
+	return queue, nil
+}
 
-	// Final pass: target each leftover fault individually — first a
-	// deep combinational attempt (redundancy proof or a fresh vector),
-	// then maximally-enhanced sequential ATPG with the large budget.
-	for _, s := range finalQueue {
-		if status[s.Fault] != 0 {
+// runFinal runs the first two stages of the final pass, which targets
+// each leftover fault individually with the large budget, and returns
+// the faults still open, in queue order, for stage (c) (finalSeqATPG).
+// A fault's outcome in each stage depends only on that fault, so
+// running the stages one after the other over the whole queue yields
+// the same verdicts and counts as taking each fault through all three
+// in turn.
+//
+//   - (a) A deep combinational attempt per fault: a redundancy proof or
+//     a fresh vector (finalCombATPG, fanned out over p.Workers).
+//   - (b) Every fill of every fresh vector, confirmed in one call: the
+//     step-2 set may simply have masked the fault's effect during
+//     scan-out, and whether the corrupted capture survives the shift
+//     depends on the surrounding chain data.
+//   - (c) Maximally-enhanced sequential ATPG on what is still open.
+func runFinal(ctx context.Context, d *scan.Design, queue []Screened, p Params, status map[fault.Fault]byte) ([]Screened, error) {
+	if len(queue) == 0 {
+		return nil, nil
+	}
+	comb, err := finalCombATPG(ctx, d, queue, p)
+	if err != nil {
+		return nil, err
+	}
+
+	var found []fault.Fault
+	var vectors []scan.Vector
+	for i, r := range comb {
+		if r.Status != atpg.Found {
 			continue
 		}
-		var cres atpg.Result
-		cres.Status = atpg.Aborted
-		if combEng != nil {
-			done := timeATPG(rec, "atpg.final", s.Fault)
-			var err error
-			cres, err = combEng.GenerateCtx(ctx, cm.MapFault(s.Fault), p.FinalBacktracks)
-			if err != nil {
-				return err
-			}
-			done(cres.Status, cres.Backtracks)
+		v := scan.Vector{
+			FFs: make(map[netlist.SignalID]logic.V),
+			PIs: make(map[netlist.SignalID]logic.V),
 		}
-		switch cres.Status {
+		for in, val := range r.Assignment {
+			if d.C.IsFF(in) {
+				v.FFs[in] = val
+			} else {
+				v.PIs[in] = val
+			}
+		}
+		found = append(found, queue[i].Fault)
+		vectors = append(vectors, v)
+	}
+	hits, err := fillHits(ctx, d, found, vectors, p)
+	if err != nil {
+		return nil, err
+	}
+
+	var open []Screened
+	k, filled := 0, int64(0)
+	for i, s := range queue {
+		switch comb[i].Status {
 		case atpg.Redundant:
 			status[s.Fault] = 2
 			continue
 		case atpg.Found:
-			// A fresh single vector, simulated on its own: the step-2
-			// set may simply have masked this fault's effect during
-			// scan-out. Whether the corrupted capture survives the shift
-			// to the scan-out depends on the surrounding chain data, so
-			// the don't-care bits are retried with several random fills.
-			v := scan.Vector{
-				FFs: make(map[netlist.SignalID]logic.V),
-				PIs: make(map[netlist.SignalID]logic.V),
-			}
-			for in, val := range cres.Assignment {
-				if d.C.IsFF(in) {
-					v.FFs[in] = val
-				} else {
-					v.PIs[in] = val
-				}
-			}
-			hit, err := tryVectorFills(ctx, d, s.Fault, v, 9, p)
-			if err != nil {
-				return err
-			}
-			if hit {
+			k++
+			if hits[k-1] {
 				status[s.Fault] = 1
+				filled++
 				continue
 			}
 		}
+		open = append(open, s)
+	}
+	p.Obs.Counter("step3.fill_hits").Add(filled)
+	return open, nil
+}
+
+// finalCombATPG is the final pass's stage (a): one PODEM attempt per
+// queued fault on the scan-mode combinational model with the final
+// budget. Attempts are spread over p.Workers, one engine per worker on
+// the cached model and SCOAP tables (step 2 asked for the same circuit
+// and fixed assignment, so nothing is recomputed), and results land in
+// queue order.
+//
+// In a partial-scan design the model would wrongly treat non-scan
+// flip-flops as loadable and their D pins as observable, so no attempt
+// runs there and every fault reads Aborted (the paper's partial-scan
+// setting relies on random vectors and sequential ATPG only).
+func finalCombATPG(ctx context.Context, d *scan.Design, queue []Screened, p Params) ([]atpg.Result, error) {
+	res := make([]atpg.Result, len(queue))
+	for i := range res {
+		res[i].Status = atpg.Aborted
+	}
+	if d.Partial() {
+		return res, nil
+	}
+	arts := engine.Resolve(p.Engine).ForObs(d.C, p.Obs)
+	cm, err := arts.CombModel()
+	if err != nil {
+		return nil, err
+	}
+	fixed := make(map[netlist.SignalID]logic.V, len(d.Assignments))
+	for k, v := range d.Assignments {
+		fixed[k] = v
+	}
+	model, tables, err := arts.CombSearch(fixed)
+	if err != nil {
+		return nil, err
+	}
+
+	rec := p.Obs.Journal()
+	workers := min(par.Workers(p.Workers), len(queue))
+	engines := par.NewPerWorker(workers, func() *atpg.Engine {
+		e := atpg.NewEngineTables(model, tables)
+		e.Instrument(p.Obs, "atpg.final")
+		return e
+	})
+	err = par.DoCtx(ctx, workers, len(queue), func(worker, i int) {
+		f := queue[i].Fault
+		done := timeATPGOn(rec, "atpg.final", f, worker)
+		r, err := engines.Get(worker).GenerateCtx(ctx, cm.MapFault(f), p.FinalBacktracks)
+		if err != nil {
+			return // cancelled; DoCtx returns the context error
+		}
+		done(r.Status, r.Backtracks)
+		res[i] = r
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// finalSeqATPG is the final pass's stage (c): for each still-open fault
+// in turn, sequential ATPG on a maximally-enhanced model with the final
+// budget, one model at a time; the generated sequences are confirmed in
+// one call.
+func finalSeqATPG(ctx context.Context, d *scan.Design, open []Screened, p Params, rep *Report, status map[fault.Fault]byte) error {
+	rec := p.Obs.Journal()
+	var trials []faultsim.Trial
+	for _, s := range open {
 		var ctrl, obs map[netlist.SignalID]bool
 		fr := 2
 		if len(s.Locs) > 0 {
@@ -375,6 +525,12 @@ func runStep3(ctx context.Context, d *scan.Design, remaining []Screened, p Param
 			fr = p.MaxFrames + 2
 		}
 		rep.FinalCOCircuits++
+		// The previous fault's model is garbage by now. Collect it before
+		// building the next: without the pause the heap grows to hold
+		// both, and a collection that spans the hand-over can mark two
+		// models live at once (up to +1.3 MiB peak live heap on
+		// s9234@0.5, where a 7-frame model is 4.3 MiB).
+		runtime.GC()
 		tm, err := seqatpg.Build(d, ctrl, obs, fr)
 		if err != nil {
 			return err
@@ -386,62 +542,90 @@ func runStep3(ctx context.Context, d *scan.Design, remaining []Screened, p Param
 			return err
 		}
 		done(res.Status, res.Backtracks)
-		if res.Status == atpg.Found {
-			fsr, err := faultsim.RunCtx(ctx, d.C, faultsim.Sequence(res.Sequence),
-				[]fault.Fault{s.Fault}, faultsim.Options{Eval: p.Eval, Cache: p.Engine, Obs: p.Obs})
-			if err != nil {
-				return err
-			}
-			if fsr.DetectedAt[0] >= 0 {
-				status[s.Fault] = 1
-			} else {
-				rep.TranslationMiss++
-			}
-		}
 		// Redundant here means only "no test within the bounded enhanced
 		// model" — not a proof; the fault stays undetected.
-	}
-
-	// Last resort before declaring faults undetected: a burst of random
-	// scan-mode vectors. Faults whose activation state can only be
-	// established THROUGH their own corrupted segment resist directed
-	// generation (the models treat those flip-flops as uncontrollable),
-	// but a lucky random load may still set it up.
-	var open []fault.Fault
-	var openIdx []int
-	for i := range remaining {
-		if status[remaining[i].Fault] == 0 {
-			open = append(open, remaining[i].Fault)
-			openIdx = append(openIdx, i)
+		if res.Status == atpg.Found {
+			trials = append(trials, faultsim.Trial{Seq: faultsim.Sequence(res.Sequence), Fault: s.Fault})
 		}
 	}
-	if len(open) > 0 {
+	det, err := faultsim.Confirm(ctx, d.C, trials, p.simOptions(true))
+	if err != nil {
+		return err
+	}
+	for i, tr := range trials {
+		if det[i] >= 0 {
+			status[tr.Fault] = 1
+		} else {
+			rep.TranslationMiss++
+		}
+	}
+	return nil
+}
+
+// rescueRun is a random-vector rescue simulation, possibly still
+// running; done closes once res and err are set, and stop cancels it.
+type rescueRun struct {
+	faults []fault.Fault
+	res    *faultsim.Result
+	err    error
+	done   chan struct{}
+	stop   context.CancelFunc
+}
+
+// startRescue starts the random-vector rescue of faults on its own
+// goroutine.
+func startRescue(ctx context.Context, d *scan.Design, faults []Screened, p Params) *rescueRun {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, stop := context.WithCancel(ctx)
+	r := &rescueRun{faults: make([]fault.Fault, len(faults)), done: make(chan struct{}), stop: stop}
+	for i, s := range faults {
+		r.faults[i] = s.Fault
+	}
+	go func() {
+		defer close(r.done)
+		defer stop()
 		seq := randomSequence(d, 120*d.MaxChainLen()+512, 0x5eed)
-		fr, err := faultsim.RunCtx(ctx, d.C, seq, open, p.simOptions(true))
-		if err != nil {
-			return err
-		}
-		rescued := int64(0)
-		for k := range open {
-			if fr.DetectedAt[k] >= 0 {
-				status[remaining[openIdx[k]].Fault] = 1
-				rescued++
-			}
-		}
-		p.Obs.Counter("step3.random_rescued").Add(rescued)
-	}
+		r.res, r.err = faultsim.RunCtx(ctx, d.C, seq, r.faults, p.simOptions(true))
+	}()
+	return r
+}
 
-	for _, s := range remaining {
-		switch status[s.Fault] {
-		case 1:
-			rep.Step3.Detected++
-		case 2:
-			rep.Step3.Undetectable++
-		default:
-			rep.Step3.Undetected++
-			rep.UndetectedFaults = append(rep.UndetectedFaults, s.Fault)
+// finishRescue is the last resort before declaring faults undetected: a
+// burst of random scan-mode vectors. Faults whose activation state can
+// only be established THROUGH their own corrupted segment resist
+// directed generation (the models treat those flip-flops as
+// uncontrollable), but a lucky random load may still set it up. Every
+// fault of queue still open is marked detected if the burst detects it.
+// run, when non-nil, is a finished rescue over all of queue (cancelled
+// only when nothing was left open); otherwise the burst runs now, over
+// just the faults still open.
+func finishRescue(ctx context.Context, d *scan.Design, queue []Screened, run *rescueRun, p Params, status map[fault.Fault]byte) error {
+	var still []Screened
+	for _, s := range queue {
+		if status[s.Fault] == 0 {
+			still = append(still, s)
 		}
 	}
+	if len(still) == 0 {
+		return nil
+	}
+	if run == nil {
+		run = startRescue(ctx, d, still, p)
+	}
+	<-run.done
+	if run.err != nil {
+		return run.err
+	}
+	rescued := int64(0)
+	for k, f := range run.faults {
+		if status[f] == 0 && run.res.DetectedAt[k] >= 0 {
+			status[f] = 1
+			rescued++
+		}
+	}
+	p.Obs.Counter("step3.random_rescued").Add(rescued)
 	return nil
 }
 

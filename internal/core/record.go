@@ -25,15 +25,26 @@ func journalKey(f fault.Fault) journal.FaultKey {
 var noteATPG = func(atpg.Status, int) {}
 
 // timeATPG starts timing one ATPG attempt against the original
-// (pre-model-mapping) fault f; call the returned func with the
-// attempt's outcome to emit the journal span. With no recorder
-// attached it returns a shared no-op without reading the clock.
+// (pre-model-mapping) fault f on the flow thread; call the returned
+// func with the attempt's outcome to emit the journal span. With no
+// recorder attached it returns a shared no-op without reading the
+// clock.
 func timeATPG(rec *journal.Recorder, prefix string, f fault.Fault) func(status atpg.Status, backtracks int) {
+	return timeATPGOn(rec, prefix, f, -1)
+}
+
+// timeATPGOn is timeATPG for an attempt fanned out to a worker pool:
+// the span carries its worker (worker < 0 means the flow thread).
+func timeATPGOn(rec *journal.Recorder, prefix string, f fault.Fault, worker int) func(status atpg.Status, backtracks int) {
 	if !rec.Enabled() {
 		return noteATPG
 	}
 	t0 := time.Now()
 	return func(status atpg.Status, backtracks int) {
-		rec.Emit(journal.ATPG(prefix, journalKey(f), int(status), backtracks, time.Since(t0)))
+		ev := journal.ATPG(prefix, journalKey(f), int(status), backtracks, time.Since(t0))
+		if worker >= 0 {
+			ev = ev.OnWorker(worker)
+		}
+		rec.Emit(ev)
 	}
 }

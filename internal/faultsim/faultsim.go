@@ -1,8 +1,10 @@
 // Package faultsim runs fault simulation of test sequences: a serial
 // reference simulator, a 63-fault parallel machine simulator built on
-// the compiled evaluator, and a hybrid strategy that runs each fault on
-// a per-fault delta simulator against a shared fault-free baseline and
-// demotes broadly-diverging faults back to the compiled sweep. Detection
+// the compiled evaluator, a hybrid strategy that runs each fault on a
+// per-fault delta simulator against a shared fault-free baseline and
+// demotes broadly-diverging faults back to the compiled sweep, and
+// Confirm, which checks many (sequence, fault) trials at once as
+// fault-free/faulty lane pairs of the compiled sweep. Detection
 // means a primary output carries a definite value in the fault-free
 // machine and the opposite definite value in the faulty machine at the
 // same cycle; an X never detects. Every strategy produces identical
@@ -46,8 +48,9 @@ type Options struct {
 	StopWhenAllDetected bool
 	// Workers is the number of goroutines sharding the fault axis
 	// (each owns a private packed simulator and processes whole
-	// 63-fault batches). 0 selects runtime.GOMAXPROCS; 1 forces the
-	// serial path. Results are identical at any width.
+	// batches: 63 faults in Run, 32 trials in Confirm). 0 selects
+	// runtime.GOMAXPROCS; 1 forces the serial path. Results are
+	// identical at any width.
 	Workers int
 	// Eval selects the simulation backend. engine.Auto (the zero value)
 	// picks per run: hybrid for full-width passes on larger sequential
@@ -127,12 +130,12 @@ func Run(c *netlist.Circuit, seq Sequence, faults []fault.Fault, opts Options) *
 }
 
 // RunCtx is Run with cooperative cancellation: workers stop claiming
-// fault batches once ctx is cancelled (an in-flight batch finishes — at
-// most one sequence application per worker runs after the cancel), all
-// workers are joined, and the context error is returned alongside the
-// partial result. Detections recorded before the cancel are valid; the
-// remaining faults simply stay undetected in the result. A nil context
-// behaves like context.Background.
+// fault batches once ctx is cancelled, an in-flight compiled-sweep batch
+// stops within cancelStride cycles (a hybrid unit finishes its
+// sequence), all workers are joined, and the context error is returned
+// alongside the partial result. Detections recorded before the cancel
+// are valid; the remaining faults simply stay undetected in the result.
+// A nil context behaves like context.Background.
 func RunCtx(ctx context.Context, c *netlist.Circuit, seq Sequence, faults []fault.Fault, opts Options) (*Result, error) {
 	res := &Result{DetectedAt: make([]int, len(faults))}
 	for i := range res.DetectedAt {
@@ -144,8 +147,6 @@ func RunCtx(ctx context.Context, c *netlist.Circuit, seq Sequence, faults []faul
 		}
 		return res, nil
 	}
-
-	seqW := broadcastSeq(c, seq)
 
 	col := opts.Obs
 	lanes := len(faults)
@@ -162,9 +163,9 @@ func RunCtx(ctx context.Context, c *netlist.Circuit, seq Sequence, faults []faul
 
 	var err error
 	if backend == engine.Hybrid {
-		err = runHybrid(ctx, seqW, faults, opts, res, col, arts)
+		err = runHybrid(ctx, seq, faults, opts, res, col, arts)
 	} else {
-		err = runSweep(ctx, seqW, faults, nil, opts, res, col, arts)
+		err = runSweep(ctx, seq, faults, nil, opts, res, col, arts)
 	}
 	if col.Enabled() {
 		col.Counter("faultsim.detected").Add(int64(res.NumDetected()))
@@ -173,7 +174,8 @@ func RunCtx(ctx context.Context, c *netlist.Circuit, seq Sequence, faults []faul
 }
 
 // broadcastSeq expands the scalar stimulus to packed all-lanes words
-// once, in a single backing allocation; every worker reads it.
+// once, in a single backing allocation, for the hybrid fast path's
+// delta simulators; every worker reads it.
 func broadcastSeq(c *netlist.Circuit, seq Sequence) [][]logic.Word {
 	stride := len(c.Inputs)
 	flat := make([]logic.Word, len(seq)*stride)
@@ -188,13 +190,19 @@ func broadcastSeq(c *netlist.Circuit, seq Sequence) [][]logic.Word {
 	return seqW
 }
 
+// cancelStride is how many cycles a compiled-sweep batch simulates
+// between cancellation checks.
+const cancelStride = 128
+
 // runSweep is the compiled 63-faults-per-batch simulation shared by the
 // compiled backend and the hybrid strategy's demotion pass. idxs selects
 // the faults to simulate (indices into faults, ascending); nil means
 // all of them. Detections are recorded under the fault's original
 // index, and each batch writes only its own result slots, so the
-// outcome is identical at any worker count.
-func runSweep(ctx context.Context, seqW [][]logic.Word, faults []fault.Fault, idxs []int, opts Options, res *Result, col *obs.Collector, arts *engine.Artifacts) error {
+// outcome is identical at any worker count. Each worker broadcasts the
+// scalar stimulus one cycle at a time, so a long sequence costs no
+// packed copy.
+func runSweep(ctx context.Context, seq Sequence, faults []fault.Fault, idxs []int, opts Options, res *Result, col *obs.Collector, arts *engine.Artifacts) error {
 	total := len(idxs)
 	if idxs == nil {
 		total = len(faults)
@@ -220,6 +228,7 @@ func runSweep(ctx context.Context, seqW [][]logic.Word, faults []fault.Fault, id
 
 	type wstate struct {
 		ps   *sim.CompiledSeq
+		piW  []logic.Word
 		poW  []logic.Word
 		injs []sim.LaneInject
 		fidx []int // absolute fault index per lane-1-based batch slot
@@ -227,6 +236,7 @@ func runSweep(ctx context.Context, seqW [][]logic.Word, faults []fault.Fault, id
 	states := par.NewPerWorker(workers, func() *wstate {
 		return &wstate{
 			ps:   sim.NewCompiledSeqFrom(prog),
+			piW:  make([]logic.Word, len(prog.C.Inputs)),
 			injs: make([]sim.LaneInject, 0, 63),
 			fidx: make([]int, 0, 63),
 		}
@@ -256,8 +266,14 @@ func runSweep(ctx context.Context, seqW [][]logic.Word, faults []fault.Fault, id
 		allMask := (uint64(1)<<uint(n+1) - 1) &^ 1 // lanes 1..n
 		detected := uint64(0)
 		ran := 0
-		for cyc, piW := range seqW {
-			st.poW = ps.Cycle(piW, st.poW)
+		for cyc, pi := range seq {
+			if cyc%cancelStride == cancelStride-1 && ctx != nil && ctx.Err() != nil {
+				break
+			}
+			for i, v := range pi {
+				st.piW[i] = logic.WordAll(v)
+			}
+			st.poW = ps.Cycle(st.piW, st.poW)
 			ran++
 			for _, w := range st.poW {
 				switch w.Get(0) {
@@ -289,9 +305,10 @@ func runSweep(ctx context.Context, seqW [][]logic.Word, faults []fault.Fault, id
 // on (fault, sequence, initial state), and both passes write only their
 // own result slots, so the outcome is byte-identical to the compiled
 // backend at any worker count or unit size.
-func runHybrid(ctx context.Context, seqW [][]logic.Word, faults []fault.Fault, opts Options, res *Result, col *obs.Collector, arts *engine.Artifacts) error {
+func runHybrid(ctx context.Context, seq Sequence, faults []fault.Fault, opts Options, res *Result, col *obs.Collector, arts *engine.Artifacts) error {
 	cones := arts.Cones(col)
 	prog := arts.Program(col)
+	seqW := broadcastSeq(prog.C, seq)
 	thr := opts.ConeThreshold
 	if thr <= 0 {
 		thr = engine.ConeThresholdFor(prog.C)
@@ -347,12 +364,7 @@ func runHybrid(ctx context.Context, seqW [][]logic.Word, faults []fault.Fault, o
 				continue
 			}
 			res.DetectedAt[fi] = det[k]
-			if rec.Enabled() {
-				f := faults[fi]
-				ev := journal.Detect(journal.NewFaultKey(int(f.Signal), int(f.Gate), f.Pin, uint8(f.Stuck)), det[k])
-				ev.Worker = int32(worker)
-				rec.Emit(ev)
-			}
+			emitDetect(rec, faults[fi], det[k], worker)
 		}
 	}
 	var err error
@@ -385,14 +397,12 @@ func runHybrid(ctx context.Context, seqW [][]logic.Word, faults []fault.Fault, o
 		// partial-result contract.
 		return err
 	}
-	return runSweep(ctx, seqW, faults, swept, opts, res, col, arts)
+	return runSweep(ctx, seq, faults, swept, opts, res, col, arts)
 }
 
 // noteDetections records the first-detection cycle for every fault whose
 // lane bit is set in newly (fidx maps batch slots to absolute fault
-// indices), mirroring each into the flight recorder (rec nil when no
-// journal is attached — the common case costs one nil test per
-// newly-detected fault).
+// indices), mirroring each into the flight recorder.
 func noteDetections(res *Result, rec *journal.Recorder, faults []fault.Fault, worker int, fidx []int, newly uint64, cyc int) uint64 {
 	if newly == 0 {
 		return 0
@@ -400,15 +410,22 @@ func noteDetections(res *Result, rec *journal.Recorder, faults []fault.Fault, wo
 	for k, fi := range fidx {
 		if newly&(uint64(1)<<uint(k+1)) != 0 {
 			res.DetectedAt[fi] = cyc
-			if rec.Enabled() {
-				f := faults[fi]
-				ev := journal.Detect(journal.NewFaultKey(int(f.Signal), int(f.Gate), f.Pin, uint8(f.Stuck)), cyc)
-				ev.Worker = int32(worker)
-				rec.Emit(ev)
-			}
+			emitDetect(rec, faults[fi], cyc, worker)
 		}
 	}
 	return newly
+}
+
+// emitDetect mirrors one detection into the flight recorder (rec nil
+// when no journal is attached — the common case costs one nil test per
+// newly-detected fault).
+func emitDetect(rec *journal.Recorder, f fault.Fault, cyc, worker int) {
+	if !rec.Enabled() {
+		return
+	}
+	ev := journal.Detect(journal.NewFaultKey(int(f.Signal), int(f.Gate), f.Pin, uint8(f.Stuck)), cyc)
+	ev.Worker = int32(worker)
+	rec.Emit(ev)
 }
 
 // RunSerial is the reference implementation: one scalar simulation per

@@ -1,9 +1,12 @@
 package faultsim
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bench"
@@ -257,4 +260,36 @@ y = AND(a, b)
 		t.Fatal(err)
 	}
 	return c
+}
+
+// budgetCtx reports cancellation once its Err budget is spent.
+type budgetCtx struct {
+	context.Context
+	budget atomic.Int64
+}
+
+func (c *budgetCtx) Err() error {
+	if c.budget.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRunCtxCancelStopsInFlightBatch: a cancel observed mid-batch ends
+// the compiled sweep within cancelStride cycles instead of running the
+// whole sequence, and the run reports the cancellation.
+func TestRunCtxCancelStopsInFlightBatch(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	c := gen.Generate(gen.Profile{Name: "cancel", PIs: 6, POs: 4, FFs: 8, Gates: 100}, 3)
+	seq := randSeq(r, len(c.Inputs), 50*cancelStride, false)
+	ctx := &budgetCtx{Context: context.Background()}
+	ctx.budget.Store(2) // the batch claim, then one in-batch check
+	col := obs.New()
+	_, err := RunCtx(ctx, c, seq, fault.Collapsed(c)[:1], Options{Workers: 1, Eval: engine.Compiled, Obs: col})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := col.Snapshot().Counters["faultsim.cycles"]; got > 2*cancelStride {
+		t.Errorf("cancelled batch simulated %d of %d cycles, want at most %d", got, len(seq), 2*cancelStride)
+	}
 }

@@ -58,7 +58,9 @@ const (
 	// prefix (atpg.comb, atpg.seq, atpg.final), A the fault key (or -1
 	// when the attempt has no single original-fault identity), B the
 	// result status (atpg.Status numeric value), C the backtrack count,
-	// DurNS the attempt's wall time.
+	// D 1 when the attempt ran on a worker pool (Worker then names the
+	// worker; see Event.OnWorker) and 0 on the flow thread, DurNS the
+	// attempt's wall time.
 	KindATPG
 	// KindDetect is one fault detection during fault simulation: A the
 	// fault key, B the detecting cycle within the simulated sequence.
@@ -305,6 +307,14 @@ func Classify(fk FaultKey, cat int, chain, seg int, net int64) Event {
 func ATPG(prefix string, fk FaultKey, status, backtracks int, dur time.Duration) Event {
 	return Event{Kind: KindATPG, Arg: prefix, A: int64(fk), B: int64(status),
 		C: int64(backtracks), DurNS: dur.Nanoseconds()}
+}
+
+// OnWorker marks an ATPG event as run by pool worker w rather than on
+// the flow thread.
+func (e Event) OnWorker(w int) Event {
+	e.Worker = int32(w)
+	e.D = 1
+	return e
 }
 
 // Detect builds a fault-detection event: fault key detected at cycle.

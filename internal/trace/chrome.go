@@ -9,8 +9,9 @@
 //
 //   - root, unit, phase and ATPG spans become complete ("X") events on
 //     the flow thread (tid 0), categorized by span kind;
-//   - pool spans become "X" events on their worker's own thread
-//     (tid = worker+1, from the span's worker attribute);
+//   - pool spans, and ATPG spans a worker pool ran, become "X" events
+//     on their worker's own thread (tid = worker+1, from the span's
+//     worker attribute);
 //   - span attributes become the event's args; spans Assemble closed
 //     administratively (a canceled run) carry "unclosed":true and end
 //     where Assemble closed them;
@@ -52,10 +53,11 @@ func WriteChrome(w io.Writer, spans []Span, events []journal.Event, dropped int6
 	tids := make([]int, len(spans))
 	seen := map[int]bool{}
 	for i, sp := range spans {
-		if sp.Kind != SpanPool {
+		w := sp.attr("worker")
+		if w == "" {
 			continue
 		}
-		worker, _ := strconv.Atoi(sp.attr("worker"))
+		worker, _ := strconv.Atoi(w)
 		tids[i] = worker + 1
 		if !seen[worker] {
 			seen[worker] = true

@@ -214,3 +214,44 @@ func TestWriteChromeLiveRecorder(t *testing.T) {
 		t.Errorf("got %d rows, want 6", len(cf.TraceEvents))
 	}
 }
+
+// TestWriteChromePooledATPG: an ATPG attempt a worker pool ran carries
+// its worker as a span attribute and is drawn on that worker's thread;
+// an attempt on the flow thread has no worker attribute and stays on
+// tid 0.
+func TestWriteChromePooledATPG(t *testing.T) {
+	fk := journal.NewFaultKey(42, -1, -1, 1)
+	serial := journal.ATPG("atpg.seq", fk, 2, 7, 50*time.Microsecond)
+	serial.TNS = 1000
+	pooled := journal.ATPG("atpg.final", fk, 2, 9, 80*time.Microsecond).OnWorker(1)
+	pooled.TNS = 2000
+	events := []journal.Event{serial, pooled}
+
+	ctx := mustParse(t, "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	spans := Assemble(ctx, SpanID{}, "run", events, 0)
+	if got := spans[1].attr("worker"); got != "" {
+		t.Errorf("flow-thread attempt has worker attribute %q", got)
+	}
+	if got := spans[2].attr("worker"); got != "1" {
+		t.Errorf("pooled attempt worker attribute = %q, want 1", got)
+	}
+
+	tids := map[string]float64{}
+	threads := map[float64]string{}
+	for _, e := range parseChrome(t, writeChrome(t, events, 0)).TraceEvents {
+		switch e["ph"] {
+		case "X":
+			tids[e["name"].(string)] = e["tid"].(float64)
+		case "M":
+			if e["name"] == "thread_name" {
+				threads[e["tid"].(float64)] = e["args"].(map[string]any)["name"].(string)
+			}
+		}
+	}
+	if tids["atpg.seq"] != 0 {
+		t.Errorf("flow-thread attempt drawn on tid %v, want 0", tids["atpg.seq"])
+	}
+	if tids["atpg.final"] != 2 || threads[2] != "worker 1" {
+		t.Errorf("pooled attempt drawn on tid %v (%q), want 2 (\"worker 1\")", tids["atpg.final"], threads[2])
+	}
+}

@@ -210,7 +210,8 @@ func (s Span) DurNS() int64 { return s.EndNS - s.StartNS }
 // [0, endNS]; unit begin/end events become unit spans under the root;
 // phase begin/end events become nested phase spans; worker-pool items
 // (attributes worker, index, total) and ATPG attempts (fault, status,
-// backtracks) become leaf spans under the innermost open span.
+// backtracks, plus worker for an attempt a worker pool ran) become leaf
+// spans under the innermost open span.
 // Instant events (notes, classifications, detections, cache lookups)
 // carry no duration and are skipped.
 //
@@ -314,14 +315,17 @@ func Assemble(ctx Context, parent SpanID, rootName string, events []journal.Even
 				},
 			})
 		case journal.KindATPG:
+			attrs := []Attr{
+				{"fault", strconv.FormatInt(e.A, 10)},
+				{"status", strconv.FormatInt(e.B, 10)},
+				{"backtracks", strconv.FormatInt(e.C, 10)},
+			}
+			if e.D != 0 {
+				attrs = append(attrs, Attr{"worker", strconv.FormatInt(int64(e.Worker), 10)})
+			}
 			spans = append(spans, Span{
 				Name: e.Arg, Kind: SpanATPG, ID: next(), Parent: top().ID,
-				StartNS: e.TNS, EndNS: e.TNS + e.DurNS,
-				Attrs: []Attr{
-					{"fault", strconv.FormatInt(e.A, 10)},
-					{"status", strconv.FormatInt(e.B, 10)},
-					{"backtracks", strconv.FormatInt(e.C, 10)},
-				},
+				StartNS: e.TNS, EndNS: e.TNS + e.DurNS, Attrs: attrs,
 			})
 		}
 	}
